@@ -47,6 +47,7 @@ from .measures import (
     trace_norm,
 )
 from .protocol import (
+    MessageEntropies,
     ProtocolSpec,
     ProtocolValidationError,
     QuantumTask,
@@ -55,6 +56,7 @@ from .protocol import (
     nfold_error_check,
     pad_rounds,
     protocol_error,
+    message_entropies,
     purify_input,
     qcc,
     qic,

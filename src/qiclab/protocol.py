@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from .hilbert import (
     reduced_density,
     tensor,
 )
-from .measures import cond_mutual_info, trace_norm
+from .measures import entropy, trace_norm
 
 
 class ProtocolValidationError(ValueError):
@@ -338,6 +338,61 @@ def qcc(p: ProtocolSpec) -> float:
     return total
 
 
+class MessageEntropies(NamedTuple):
+    """Entropies in bits around one message of a protocol.
+
+    C is the message block, B the receiver's holding when it arrives and
+    R the input's purifying reference.
+    """
+
+    h_cb: float
+    h_rb: float
+    h_b: float
+    h_crb: float
+
+    @property
+    def cost(self) -> float:
+        """Information cost term: half of I(C;R|B)."""
+        return 0.5 * (self.h_cb + self.h_rb - self.h_b - self.h_crb)
+
+
+def message_entropies(
+    p: ProtocolSpec,
+    input_state,
+    *,
+    max_dim: int = DEFAULT_MAX_DIM,
+) -> list[MessageEntropies]:
+    """H(CB), H(RB), H(B) and H(CRB) for every message, from one run.
+
+    Entropies are memoized by register set. A subsystem and its
+    complement share an entry, since the global state is pure. An entry
+    carries over to the next step when the next unitary outputs none of
+    its registers: if those registers all still exist, the unitary acted
+    on the complement alone. The receiver of message i+1 holds what the
+    sender of message i kept, so after the first message H(B) and H(RB)
+    are the entries of H(CRB) and H(CB) one step earlier.
+    """
+    traj = run(p, input_state, max_dim=max_dim)
+    memo: dict[frozenset[str], float] = {}
+    out = []
+    for i, st in enumerate(traj.steps, start=1):
+        touched = {r.name for r in p.unitaries[i - 1].out_regs}
+        memo = {k: h for k, h in memo.items() if not k & touched}
+        system = st.system
+        names = frozenset(system.names)
+        c = frozenset(p.messages[i - 1])
+        b = frozenset(system.held_by(BOB if i % 2 == 1 else ALICE))
+        r = frozenset(system.reference_names)
+        row = []
+        for sub in (c | b, r | b, b, c | r | b):
+            if sub not in memo:
+                ordered = [n for n in system.names if n in sub]
+                memo[sub] = memo[names - sub] = entropy(st, ordered)
+            row.append(memo[sub])
+        out.append(MessageEntropies(*row))
+    return out
+
+
 def qic_terms(
     p: ProtocolSpec,
     input_state,
@@ -345,16 +400,7 @@ def qic_terms(
     max_dim: int = DEFAULT_MAX_DIM,
 ) -> list[float]:
     """Per-message information cost terms (half CMI against the reference)."""
-    traj = run(p, input_state, max_dim=max_dim)
-    terms = []
-    for i in range(1, p.num_messages + 1):
-        st = traj.steps[i - 1]
-        receiver = BOB if i % 2 == 1 else ALICE
-        holding = list(st.system.held_by(receiver))
-        refs = list(st.system.reference_names)
-        block = list(p.messages[i - 1])
-        terms.append(0.5 * cond_mutual_info(st, block, refs, holding))
-    return terms
+    return [e.cost for e in message_entropies(p, input_state, max_dim=max_dim)]
 
 
 def qic(p: ProtocolSpec, input_state, *, max_dim: int = DEFAULT_MAX_DIM) -> float:

@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .hilbert import ALICE, BOB, DEFAULT_MAX_DIM, StateVector, _prod
+from .hilbert import DEFAULT_MAX_DIM, StateVector, _prod
 from .measures import cond_entropy, cond_mutual_info, mutual_info
-from .protocol import ProtocolSpec, run
+from .protocol import ProtocolSpec, message_entropies
 
 
 @dataclass(frozen=True)
@@ -82,24 +82,20 @@ def protocol_step_rates(
 
     Message i is the moving block, the receiver's holding is the side
     information, the sender's remaining registers the feedback side, and
-    the input's purifying registers the reference.
+    the input's purifying registers the reference. With those four groups
+    partitioning a pure state, I(C;A) - I(C;B) reduces to
+    H(CRB) - H(RB) - H(B) + H(CB), so every rate reads off the message's
+    entropies.
     """
-    traj = run(p, input_state, max_dim=max_dim)
-    reports = []
-    for i in range(1, p.num_messages + 1):
-        st = traj.steps[i - 1]
-        receiver = BOB if i % 2 == 1 else ALICE
-        sender = ALICE if i % 2 == 1 else BOB
-        reports.append(
-            redist_rates(
-                st,
-                a=st.system.held_by(sender),
-                b=st.system.held_by(receiver),
-                c=p.messages[i - 1],
-                r=st.system.reference_names,
-            )
+    return [
+        RateReport(
+            q_min=e.cost,
+            e_net=0.5 * (e.h_crb - e.h_rb - e.h_b + e.h_cb),
+            h_c_given_b=e.h_cb - e.h_b,
+            total_rate=e.cost,
         )
-    return reports
+        for e in message_entropies(p, input_state, max_dim=max_dim)
+    ]
 
 
 def compression_budget(
@@ -119,28 +115,15 @@ def compression_budget(
     """
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
-    traj = run(p, input_state, max_dim=max_dim)
-    m = p.num_messages
-    per = []
-    total_q = 0.0
-    for i in range(1, m + 1):
-        st = traj.steps[i - 1]
-        receiver = BOB if i % 2 == 1 else ALICE
-        sender = ALICE if i % 2 == 1 else BOB
-        block = list(p.messages[i - 1])
-        recv_hold = list(st.system.held_by(receiver))
-        send_hold = list(st.system.held_by(sender))
-        refs = list(st.system.reference_names)
-        q_i = 0.5 * cond_mutual_info(st, block, refs, recv_hold) + delta / (2 * m)
-        e_raw = 0.5 * (
-            mutual_info(st, block, send_hold) - mutual_info(st, block, recv_hold)
-        )
-        f_i = max(0.0, e_raw) + delta / (2 * m)
-        per.append(MessageRate(i, q_i, f_i))
-        total_q += q_i
+    rates = protocol_step_rates(p, input_state, max_dim=max_dim)
+    share = delta / (2 * len(rates))
+    per = tuple(
+        MessageRate(i, rep.q_min + share, max(0.0, rep.e_net) + share)
+        for i, rep in enumerate(rates, start=1)
+    )
     return RateReport(
-        per_message=tuple(per),
-        total_rate=total_q + delta / 2.0,
+        per_message=per,
+        total_rate=sum(m.q for m in per) + delta / 2.0,
     )
 
 

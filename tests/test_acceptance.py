@@ -39,6 +39,14 @@ PINNED_TOLERANCES = {
     "entanglement-rate-bounds": 1e-9,
     "redistribution-steps": 1e-9,
     "known-values": 1e-9,
+    "error-unitary-invariance": 1e-9,
+    "mixture-error-convexity": 1e-8,
+    "measured-state-form": 1e-12,
+    "nfold-percopy": 1e-8,
+    "purity-symmetry": 1e-9,
+    "run-norm-audit": 1e-12,
+    "qic-padding": 1e-9,
+    "budget-correlated-bit": 1e-8,
 }
 
 
@@ -61,6 +69,14 @@ def _run_criterion(name: str, budget_s: float | None = None) -> None:
         )
     if budget_s is not None:
         assert elapsed < budget_s, f"{name} took {elapsed:.1f}s, budget {budget_s}s"
+
+
+def test_every_registered_check_is_pinned():
+    for check_id, check in CHECKS.items():
+        assert check_id in PINNED_TOLERANCES, f"{check_id}: no pinned tolerance"
+        assert check.tolerance == PINNED_TOLERANCES[check_id], (
+            f"{check_id}: registered tolerance drifted from the pinned value"
+        )
 
 
 def test_criterion_01_entropy_identity_suite():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import svdvals
+from scipy.special import xlogy
 
 from qiclab import (
     ALICE,
@@ -11,6 +13,7 @@ from qiclab import (
     REFERENCE,
     DensityOperator,
     RegisterSystem,
+    StateValidationError,
     StateVector,
     classical_state,
     cond_entropy,
@@ -22,6 +25,7 @@ from qiclab import (
     trace_distance,
 )
 from qiclab.fuzz import random_density_operator, random_state_vector
+from qiclab.measures import _entropy_from_spectrum
 
 
 def ghz():
@@ -164,3 +168,79 @@ class TestInvalidSpectra:
         rho = DensityOperator._unchecked(RegisterSystem.make([("a", 2, ALICE)]), mat)
         with pytest.raises(Exception, match="invalid"):
             entropy(rho)
+        with pytest.raises(Exception, match="invalid"):
+            entropy_report(rho)
+
+    def test_clamp_stops_at_the_psd_tolerance(self):
+        assert _entropy_from_spectrum(np.array([1.0, -0.5e-9])) == (0.0, 1.0)
+        with pytest.raises(StateValidationError, match="invalid"):
+            _entropy_from_spectrum(np.array([1.0, -2e-9]))
+
+
+def _svd_entropy(st, keep):
+    """Reference: entropy from the singular values of the (keep, rest) matrix."""
+    names = st.system.names
+    idx = [names.index(n) for n in keep]
+    view = st.amplitudes.reshape(st.system.dims)
+    m = np.moveaxis(view, idx, range(len(idx))).reshape(
+        math.prod(st.system.dims[i] for i in idx), -1
+    )
+    w = svdvals(m) ** 2
+    return float(-np.sum(xlogy(w, w)) / math.log(2))
+
+
+def _schmidt_state(weights, seed):
+    """Bipartite pure state on A, B with the given Schmidt weights."""
+    rng = np.random.default_rng(seed)
+    d = len(weights)
+    unitaries = []
+    for _ in range(2):
+        z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        q, r = np.linalg.qr(z)
+        unitaries.append(q * (np.diag(r) / np.abs(np.diag(r))))
+    u, v = unitaries
+    amps = (u * np.sqrt(weights)) @ v.T
+    system = RegisterSystem.make([("A", d, ALICE), ("B", d, BOB)])
+    return StateVector(system, amps.reshape(-1))
+
+
+class TestGramKernel:
+    """Pure-state entropies from the Gram matrix against an SVD reference."""
+
+    @pytest.mark.parametrize("dims", [(24, 6912, 24), (32, 3456, 36)])
+    def test_haar_states_at_the_heavy_shapes(self, dims):
+        # the kept side a, c is 576 x 6912 or 1152 x 3456, and not leading
+        specs = [("a", dims[0], ALICE), ("b", dims[1], BOB), ("c", dims[2], REFERENCE)]
+        st = random_state_vector(specs, 11)
+        ref = _svd_entropy(st, ["a", "c"])
+        assert abs(entropy(st, ["a", "c"]) - ref) < 1e-10
+        assert abs(entropy(st, ["b"]) - ref) < 1e-10
+
+    def test_rank_deficient_states(self):
+        prod = tensor(
+            random_state_vector([("a", 4, ALICE), ("x", 3, REFERENCE)], 1),
+            random_state_vector([("b", 6, BOB), ("y", 2, REFERENCE)], 2),
+        )
+        for keep in (["a", "x"], ["b", "y"], ["a", "b"], ["x", "y", "a"]):
+            assert abs(entropy(prod, keep) - _svd_entropy(prod, keep)) < 1e-10
+        assert abs(entropy(prod, ["a", "x"])) < 1e-10
+        amps = np.zeros(3**4, dtype=complex)
+        amps[[0, 40, 80]] = 1 / math.sqrt(3)  # (|0000> + |1111> + |2222>)/sqrt 3
+        ghz3 = StateVector(
+            RegisterSystem.make([(n, 3, ALICE) for n in "pqrs"]), amps
+        )
+        for keep in (["p"], ["p", "q"], ["q", "s"], ["p", "q", "r"]):
+            assert abs(entropy(ghz3, keep) - math.log2(3)) < 1e-10
+            assert abs(entropy(ghz3, keep) - _svd_entropy(ghz3, keep)) < 1e-10
+
+    def test_schmidt_weight_near_1e12(self):
+        weights = np.array([0.4, 0.3, 0.2, 0.05, 0.03, 0.015, 0.005, 0.0])
+        weights[-1] = 1e-12
+        weights[0] -= 1e-12
+        st = _schmidt_state(weights, 3)
+        exact = float(-np.sum(xlogy(weights, weights)) / math.log(2))
+        rep = entropy_report(st, ["A"])
+        assert abs(rep.value - exact) < 1e-10
+        assert abs(rep.value - _svd_entropy(st, ["A"])) < 1e-10
+        assert abs(entropy(st, ["B"]) - exact) < 1e-10
+        assert abs(rep.spectrum_floor - 1e-12) < 1e-14
