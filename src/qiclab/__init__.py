@@ -34,7 +34,6 @@ from .hilbert import (
     reduced_density,
     tensor,
     tensor_unitaries,
-    unitary_extension,
 )
 from .measures import (
     EntropyReport,

@@ -150,6 +150,12 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _require_finite(arr: np.ndarray, what: str) -> None:
+    # every tolerance comparison is False for NaN, so the gates test this first
+    if not np.isfinite(arr).all():
+        raise StateValidationError(f"{what} has non-finite entries")
+
+
 @dataclass(frozen=True)
 class StateVector:
     """A normalized pure state over a register system."""
@@ -164,6 +170,7 @@ class StateVector:
                 f"amplitude vector has length {amps.size}, "
                 f"system dimension is {self.system.total_dim}"
             )
+        _require_finite(amps, "amplitude vector")
         nrm = np.linalg.norm(amps)
         if abs(nrm - 1.0) > TOL_NORM:
             raise StateValidationError(f"state norm {nrm} deviates from 1 beyond {TOL_NORM}")
@@ -205,6 +212,7 @@ class DensityOperator:
         d = self.system.total_dim
         if mat.shape != (d, d):
             raise ValueError(f"matrix shape {mat.shape} does not match dimension {d}")
+        _require_finite(mat, "density matrix")
         if np.max(np.abs(mat - mat.conj().T)) > TOL_HERM:
             raise StateValidationError("density matrix is not Hermitian within tolerance")
         tr = np.trace(mat).real
@@ -255,6 +263,7 @@ class Stage:
         out_names = [r.name for r in self.out_regs]
         if len(set(out_names)) != len(out_names):
             raise ValueError("duplicate names in stage outputs")
+        _require_finite(mat, "stage matrix")
         err = np.max(np.abs(mat.conj().T @ mat - np.eye(d)))
         if err > TOL_UNITARY:
             raise StateValidationError(f"stage matrix not unitary: deviation {err}")
@@ -835,15 +844,6 @@ def channel_from_kraus(
     )
     dil = UnitaryOp.dense(u, in_regs + (anc_reg,), out_regs + (env_reg,))
     return ChannelOp(in_regs, out_regs, anc_state, dil, (env_name,))
-
-
-def unitary_extension(
-    kraus: Sequence[np.ndarray],
-    in_regs: Sequence[tuple[str, int]],
-    out_regs: Sequence[tuple[str, int]],
-) -> ChannelOp:
-    """Alias for :func:`channel_from_kraus` (Kraus list to dilation form)."""
-    return channel_from_kraus(kraus, in_regs, out_regs)
 
 
 def haar_random_unitary(dim: int, seed) -> np.ndarray:

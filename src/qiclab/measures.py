@@ -3,7 +3,11 @@
 All logarithms are base 2 and 0 log 0 = 0. Entropies of subsystems of a
 pure global state are evaluated on the smaller side of the bipartition,
 using the fact that both sides of a pure state share a spectrum; that
-side's spectrum is the eigenvalue list of its Gram matrix M M^dagger.
+side's spectrum is the eigenvalue list of its Gram matrix M M^dagger,
+formed on the support of M: its all-zero rows and columns are dropped
+first, which leaves the nonzero spectrum unchanged and shrinks the Gram
+matrix of states with many zero amplitudes (classical copies, padding,
+selector registers).
 """
 
 from __future__ import annotations
@@ -58,9 +62,14 @@ def _pure_subsystem_spectrum(state: StateVector, subsystem: Sequence[str]) -> np
     """Spectrum of a reduction of a pure state, via the smaller side.
 
     The eigenvalues of the Gram matrix M M^dagger of the (side, rest)
-    bipartition matrix M are the squared singular values of M. Squaring
-    costs absolute precision near zero only (about machine epsilon per
-    eigenvalue), which the clamp in :func:`_entropy_from_spectrum` absorbs.
+    bipartition matrix M are the squared singular values of M. M is first
+    cut to its support: exactly-zero rows only add zero eigenvalues and
+    exactly-zero columns leave M M^dagger unchanged, so both are dropped
+    (no threshold), and the Gram matrix is formed on the smaller side of
+    what remains, M M^dagger or M^dagger M, which share their nonzero
+    spectrum. Squaring costs absolute precision near zero only (about
+    machine epsilon per eigenvalue), which the clamp in
+    :func:`_entropy_from_spectrum` absorbs.
     """
     system = state.system
     subsystem = list(subsystem)
@@ -71,9 +80,18 @@ def _pure_subsystem_spectrum(state: StateVector, subsystem: Sequence[str]) -> np
     if not side:
         return np.array([1.0])
     m = _bipartition_matrix(state, side)
-    # herk on the Fortran-ordered view m.T forms (m m^dagger)^T, which has the
-    # same spectrum, without copying m; only the upper triangle is filled
-    gram = zherk(1.0, m.T, trans=2)
+    # one scan clears an m with no zero entry; m is copied only when it has
+    # a zero row or column, once, to its support
+    if not m.all():
+        rows = m.any(axis=1)
+        cols = m.any(axis=0)
+        if not (rows.all() and cols.all()):
+            m = m[np.ix_(rows, cols)]
+    # herk on the Fortran-ordered view m.T forms the conjugate of m m^dagger
+    # (trans=2) or of m^dagger m (trans=0), whichever is smaller, without
+    # copying a C-ordered m; only the upper triangle is filled
+    trans = 2 if m.shape[0] <= m.shape[1] else 0
+    gram = zherk(1.0, m.T, trans=trans)
     return np.linalg.eigvalsh(gram, UPLO="U")
 
 

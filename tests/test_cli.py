@@ -219,3 +219,20 @@ def test_nfold_error(files, tmp_path):
         ]
     )
     assert code == 0
+
+
+def test_non_finite_state_file_exits_with_message(files, tmp_path, capsys):
+    # fileio divides by the NaN norm, so the state gate is what stops it
+    obj = json.loads((files / "pure4.json").read_text())
+    obj["amplitudes"][0] = [float("nan"), 0.0]
+    bad = tmp_path / "nan_vector.json"
+    bad.write_text(json.dumps(obj))
+    code = main(["redist-rates", str(bad), "--a=A", "--b=B", "--c=C", "--r=R"])
+    assert code == 2
+    assert "non-finite" in capsys.readouterr().err
+    obj = json.loads((files / "state.json").read_text())
+    obj["matrix"][0][0] = [float("nan"), 0.0]
+    bad = tmp_path / "nan_density.json"
+    bad.write_text(json.dumps(obj))
+    assert main(["qic", str(files / "proto.json"), str(bad)]) == 2
+    assert "non-finite" in capsys.readouterr().err

@@ -370,6 +370,24 @@ class TestValidationGates:
         with pytest.raises(StateValidationError, match="unitary"):
             Stage(np.array([[0.5, 0], [0, 1]]), ("a",), (Register("a", 2),))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+    def test_non_finite_vector_rejected(self, bad):
+        amps = np.array([bad, 0.0], dtype=complex)
+        with pytest.raises(StateValidationError, match="non-finite"):
+            StateVector(RegisterSystem.make([("a", 2, ALICE)]), amps)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_density_rejected(self, bad):
+        mat = np.diag([0.5, 0.5]).astype(complex)
+        mat[0, 1] = mat[1, 0] = bad
+        with pytest.raises(StateValidationError, match="non-finite"):
+            DensityOperator(RegisterSystem.make([("a", 2, ALICE)]), mat)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_stage_rejected(self, bad):
+        with pytest.raises(StateValidationError, match="non-finite"):
+            Stage(np.array([[1.0, 0.0], [0.0, bad]]), ("a",), (Register("a", 2),))
+
     def test_register_dim_positive(self):
         with pytest.raises(ValueError):
             Register("a", 0)

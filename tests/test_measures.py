@@ -15,6 +15,7 @@ from qiclab import (
     RegisterSystem,
     StateValidationError,
     StateVector,
+    canonical_classical_purification,
     classical_state,
     cond_entropy,
     cond_mutual_info,
@@ -177,16 +178,65 @@ class TestInvalidSpectra:
             _entropy_from_spectrum(np.array([1.0, -2e-9]))
 
 
-def _svd_entropy(st, keep):
-    """Reference: entropy from the singular values of the (keep, rest) matrix."""
+def _keep_matrix(st, keep):
+    """The (keep, rest) matrix of a pure state."""
     names = st.system.names
     idx = [names.index(n) for n in keep]
     view = st.amplitudes.reshape(st.system.dims)
-    m = np.moveaxis(view, idx, range(len(idx))).reshape(
+    return np.moveaxis(view, idx, range(len(idx))).reshape(
         math.prod(st.system.dims[i] for i in idx), -1
     )
-    w = svdvals(m) ** 2
+
+
+def _svd_entropy(st, keep):
+    """Reference: entropy from the singular values of the (keep, rest) matrix."""
+    w = svdvals(_keep_matrix(st, keep)) ** 2
     return float(-np.sum(xlogy(w, w)) / math.log(2))
+
+
+def _support_side(st, keep):
+    """min(#nonzero rows, #nonzero columns) of the (keep, rest) matrix."""
+    nz = _keep_matrix(st, keep) != 0
+    return min(int(nz.any(axis=1).sum()), int(nz.any(axis=0).sum()))
+
+
+def _gram_sides(monkeypatch):
+    """Record the side of every matrix handed to ``np.linalg.eigvalsh``."""
+    sides = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        assert a.shape[0] == a.shape[1]
+        sides.append(a.shape[0])
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    return sides
+
+
+def _padded_classical_state():
+    """Haar state on a, b times a classical purification and |0> on z."""
+    table = np.array([[0.2, 0.0, 0.1, 0.05], [0.0, 0.3, 0.0, 0.1], [0.15, 0.0, 0.1, 0.0]])
+    pad = np.zeros(3, dtype=complex)
+    pad[0] = 1.0
+    return tensor(
+        tensor(
+            random_state_vector([("a", 6, ALICE), ("b", 5, BOB)], 21),
+            canonical_classical_purification(table, "x", "y", "r"),
+        ),
+        StateVector(RegisterSystem.make([("z", 3, REFERENCE)]), pad),
+    )
+
+
+def _tall_support_state():
+    """8 x 64 (a, b) matrix whose support is 8 rows by 4 columns."""
+    rng = np.random.default_rng(5)
+    m = np.zeros((8, 64), dtype=complex)
+    m[:, [3, 17, 40, 63]] = rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4))
+    m /= np.linalg.norm(m)
+    return StateVector(
+        RegisterSystem.make([("a", 8, ALICE), ("b", 64, BOB)]), m.reshape(-1)
+    )
 
 
 def _schmidt_state(weights, seed):
@@ -244,3 +294,44 @@ class TestGramKernel:
         assert abs(rep.value - _svd_entropy(st, ["A"])) < 1e-10
         assert abs(entropy(st, ["B"]) - exact) < 1e-10
         assert abs(rep.spectrum_floor - 1e-12) < 1e-14
+
+    def test_padded_classical_purification_on_a_non_leading_side(self):
+        st = _padded_classical_state()
+        for keep in (["z", "x", "b"], ["r", "y"], ["y", "z"], ["b", "r", "z"]):
+            m = _keep_matrix(st, keep)
+            assert not m.any(axis=1).all() and not m.any(axis=0).all()
+            ref = _svd_entropy(st, keep)
+            assert abs(entropy(st, keep) - ref) < 1e-10
+            comp = [n for n in st.system.names if n not in keep]
+            assert abs(entropy(st, comp) - ref) < 1e-10
+
+    def test_more_nonzero_rows_than_columns(self):
+        st = _tall_support_state()
+        assert _support_side(st, ["a"]) == 4
+        ref = _svd_entropy(st, ["a"])
+        assert ref > 1.0
+        assert abs(entropy(st, ["a"]) - ref) < 1e-10
+        assert abs(entropy(st, ["b"]) - ref) < 1e-10
+
+    def test_gram_side_is_the_smaller_support(self, monkeypatch):
+        padded = _padded_classical_state()
+        cases = [(padded, ["z", "x", "b"]), (padded, ["r", "y"]), (_tall_support_state(), ["a"])]
+        sides = _gram_sides(monkeypatch)
+        for st, keep in cases:
+            entropy(st, keep)
+            assert sides[-1] == _support_side(st, keep)
+            assert sides[-1] < min(_keep_matrix(st, keep).shape)
+
+    def test_tiny_amplitude_row_is_kept(self, monkeypatch):
+        # row 2's only amplitude is 1e-150; row 3 and column 3 are exactly zero
+        amps = np.zeros((4, 4), dtype=complex)
+        amps[0, 0] = amps[1, 1] = math.sqrt(0.5)
+        amps[2, 2] = 1e-150
+        st = StateVector(
+            RegisterSystem.make([("A", 4, ALICE), ("B", 4, BOB)]), amps.reshape(-1)
+        )
+        sides = _gram_sides(monkeypatch)
+        rep = entropy_report(st, ["A"])
+        assert sides == [3]
+        assert abs(rep.value - _svd_entropy(st, ["A"])) < 1e-10
+        assert rep.spectrum_floor == pytest.approx(1e-300, rel=1e-12)
