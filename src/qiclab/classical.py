@@ -83,6 +83,23 @@ def disjointness_pair(n: int) -> ClassicalFunctionPair:
     return ClassicalFunctionPair(t, t, 2, 2)
 
 
+def _counter_permutation(fp: ClassicalFunctionPair, out_order: str) -> np.ndarray:
+    """Permutation from |x, y, a, b> to the digits x, y, a + f_a(x, y) mod |A|
+    and b + f_b(x, y) mod |B|, laid out in the order ``out_order`` names them."""
+    sizes = dict(zip("xyab", fp.f_a.shape + (fp.a_size, fp.b_size)))
+    xi, yi, ai, bi = np.indices(tuple(sizes.values())).reshape(4, -1)
+    digits = {
+        "x": xi,
+        "y": yi,
+        "a": (ai + fp.f_a[xi, yi]) % fp.a_size,
+        "b": (bi + fp.f_b[xi, yi]) % fp.b_size,
+    }
+    dst = np.ravel_multi_index([digits[k] for k in out_order], [sizes[k] for k in out_order])
+    mat = np.zeros((xi.size, xi.size))
+    mat[dst, np.arange(xi.size)] = 1.0
+    return mat
+
+
 def function_channel(
     fp: ClassicalFunctionPair,
     alice_in: str = "A_in",
@@ -105,17 +122,7 @@ def function_channel(
     anc_a = _fresh_name("Fa", taken)
     taken.add(anc_a)
     anc_b = _fresh_name("Fb", taken)
-    d = x * y * a * b
-    mat = np.zeros((d, d))
-    for xi in range(x):
-        for yi in range(y):
-            for ai in range(a):
-                for bi in range(b):
-                    src = ((xi * y + yi) * a + ai) * b + bi
-                    ao = (ai + int(fp.f_a[xi, yi])) % a
-                    bo = (bi + int(fp.f_b[xi, yi])) % b
-                    dst = ((ao * b + bo) * x + xi) * y + yi
-                    mat[dst, src] = 1.0
+    mat = _counter_permutation(fp, "abxy")
     in_regs = (Register(alice_in, x), Register(bob_in, y))
     anc_regs = (Register(anc_a, a), Register(anc_b, b))
     out_regs = (Register(alice_out, a), Register(bob_out, b))
@@ -361,17 +368,7 @@ def exact_protocol_for(fp: ClassicalFunctionPair) -> ProtocolSpec:
         RegisterSystem((regs["Fa"], regs["Fb"]), (BOB, BOB)), amps
     )
     u1 = UnitaryOp.rename((regs["A_in"],), (Register("C_1", x),))
-    d = x * y * a * b
-    mat = np.zeros((d, d))
-    for xi in range(x):
-        for yi in range(y):
-            for ai in range(a):
-                for bi in range(b):
-                    src = ((xi * y + yi) * a + ai) * b + bi
-                    ao = (ai + int(fp.f_a[xi, yi])) % a
-                    bo = (bi + int(fp.f_b[xi, yi])) % b
-                    dst = ((xi * y + yi) * a + ao) * b + bo
-                    mat[dst, src] = 1.0
+    mat = _counter_permutation(fp, "xyab")
     compute = Stage(
         mat,
         ("C_1", "B_in", "Fa", "Fb"),

@@ -24,6 +24,7 @@ from .hilbert import (
     StateVector,
     DensityOperator,
     UnitaryOp,
+    _require_finite,
 )
 from .classical import ClassicalFunctionPair, ClassicalProtocol
 from .protocol import ProtocolSpec, ProtocolValidationError, Slot, validate
@@ -147,6 +148,7 @@ def obj_to_state(obj: dict, where: str = "state", tol: float | None = None):
                 f"{where}.amplitudes: length {amps.size} does not match dimension "
                 f"{system.total_dim}"
             )
+        _require_finite(amps, "amplitude vector")
         nrm = float(np.linalg.norm(amps))
         if abs(nrm - 1.0) > tol:
             raise FileFormatError(
@@ -160,6 +162,7 @@ def obj_to_state(obj: dict, where: str = "state", tol: float | None = None):
             raise FileFormatError(
                 f"{where}.matrix: shape {mat.shape} does not match dimension {d}"
             )
+        _require_finite(mat, "density matrix")
         herm = float(np.max(np.abs(mat - mat.conj().T)))
         if herm > max(tol, TOL_HERM):
             raise FileFormatError(f"{where}.matrix: not Hermitian (deviation {herm})")

@@ -3,6 +3,13 @@
 Named tensor factors with holder tags, pure state vectors, density
 operators, unitaries, partial trace, purification and channel dilations.
 
+Stage application, the partial trace of a pure state and the entropy
+kernel in :mod:`qiclab.measures` see a state as a (registers, rest)
+matrix through one helper, :func:`_support_matrix`, which cuts it to
+its exactly-nonzero rows and columns when the state is sparse (classical
+copies, zero padding, selector registers) and never transposes the full
+array in that case.
+
 Basis convention: registers are ordered and the leftmost register is the
 most significant index; matrices are row-major over that ordering.
 """
@@ -25,6 +32,14 @@ TOL_EQ = 1e-8
 
 #: Largest global pure-state dimension a simulation will accept by default.
 DEFAULT_MAX_DIM = 2 ** 24
+
+#: An array is cut to its support when at most 1/_SUPPORT_RATIO of its
+#: entries are nonzero. Gathering by coordinates costs up to ~200 ns per
+#: nonzero entry, a dense transpose ~8 ns per entry (2-vCPU Xeon, numpy
+#: 2.4): on a 4M-entry array the two break even near 1/32 nonzero. The
+#: larger share keeps small states compressed, where the Gram matrix's
+#: eigensolver, not the gather, dominates.
+_SUPPORT_RATIO = 4
 
 
 class StateValidationError(ValueError):
@@ -376,24 +391,73 @@ def chain_unitaries(first: UnitaryOp, second: UnitaryOp) -> UnitaryOp:
     return UnitaryOp(first.in_regs + extra_in, leftover + second.out_regs, first.stages + second.stages)
 
 
+def _support_matrix(arr: np.ndarray, row_axes: Sequence[int]):
+    """An array as its (``row_axes``, other axes) matrix, cut to its support.
+
+    Returns ``(rows, cols, m)``. The rows of the full matrix run over
+    ``row_axes`` in the given order and its columns over the other axes in
+    theirs; ``m`` keeps only the rows and columns holding an entry that is
+    exactly nonzero (no threshold), and ``rows``, ``cols`` are their sorted
+    indices in the full matrix. ``m`` is built from the coordinates of the
+    nonzero entries, so the array itself is never transposed. An array with
+    more than 1/``_SUPPORT_RATIO`` of its entries nonzero gives ``rows =
+    cols = None`` and the whole matrix instead, decided by one count and
+    built without index arrays.
+    """
+    row_axes = list(row_axes)
+    shape = arr.shape
+    d_row = _prod(shape[a] for a in row_axes)
+    flat = arr.reshape(-1)
+    # one pass over the array; counting and locating on the boolean mask
+    # is cheap next to scanning complex entries again
+    mask = flat.astype(bool)
+    if _SUPPORT_RATIO * np.count_nonzero(mask) > flat.size:
+        perm = row_axes + [a for a in range(arr.ndim) if a not in row_axes]
+        return None, None, np.ascontiguousarray(arr.transpose(perm)).reshape(d_row, -1)
+    nz = np.flatnonzero(mask)
+    # row index: the row axes' digits of each flat index; column index: the
+    # flat index with those digits struck out, most significant first
+    r, c = 0, nz
+    for a in row_axes:
+        r = r * shape[a] + nz // _prod(shape[a + 1:]) % shape[a]
+    for a in sorted(row_axes):
+        low = _prod(shape[a + 1:])
+        c = c // (low * shape[a]) * low + c % low
+    rows, r = _occupied(r, d_row)
+    cols, c = _occupied(c, flat.size // d_row)
+    m = np.zeros((rows.size, cols.size), dtype=arr.dtype)
+    m[r, c] = flat[nz]
+    return rows, cols, m
+
+
+def _occupied(idx: np.ndarray, n: int):
+    """Sorted distinct values of ``idx`` (all in ``range(n)``) and each entry's rank."""
+    seen = np.zeros(n, dtype=bool)
+    seen[idx] = True
+    kept = np.flatnonzero(seen)
+    return kept, np.searchsorted(kept, idx)
+
+
 def _apply_stage_array(arr: np.ndarray, order: list[Register], st: Stage):
     """Apply a stage to an array whose leading axes follow ``order``.
 
-    Trailing axes beyond the registers (if any) ride along untouched.
+    Trailing axes beyond the registers (if any) ride along untouched. The
+    stage matrix multiplies only the support of the array's (consumed,
+    rest) matrix; the product fills the nonzero columns of a zeroed result.
     """
     names = [r.name for r in order]
     idx = [names.index(n) for n in st.in_names]
-    n_reg = len(order)
-    moved = np.moveaxis(arr, idx, range(len(idx)))
-    d_in = st.matrix.shape[0]
-    rest_shape = moved.shape[len(idx):]
-    col = np.ascontiguousarray(moved).reshape(d_in, -1)
-    new = st.matrix @ col
+    rest_shape = tuple(d for i, d in enumerate(arr.shape) if i not in idx)
+    rows, cols, m = _support_matrix(arr, idx)
+    if rows is None:
+        new = st.matrix @ m
+    else:
+        new = np.zeros((st.matrix.shape[0], _prod(rest_shape)), dtype=complex)
+        new[:, cols] = st.matrix[:, rows] @ m
     out_dims = tuple(r.dim for r in st.out_regs)
     new = new.reshape(out_dims + rest_shape)
-    kept = [order[i] for i in range(n_reg) if i not in set(idx)]
-    new_order = list(st.out_regs) + kept
-    return new, new_order
+    kept = [order[i] for i in range(len(order)) if i not in idx]
+    return new, list(st.out_regs) + kept
 
 
 def tensor(x, y):
@@ -490,29 +554,24 @@ def apply_unitary(
     return StateVector._unchecked(new_system, np.ascontiguousarray(arr).reshape(-1))
 
 
-def _bipartition_matrix(state: StateVector, keep: Sequence[str]) -> np.ndarray:
-    """Reshape a pure state into a (keep, rest) matrix."""
-    system = state.system
-    idx = system.positions(keep)
-    view = state.tensor_view()
-    moved = np.moveaxis(view, idx, range(len(idx)))
-    d_keep = _prod(system.dims[i] for i in idx)
-    return np.ascontiguousarray(moved).reshape(d_keep, -1)
-
-
 def reduced_density(state, keep: Sequence[str]) -> DensityOperator:
     """Partial trace down to ``keep`` (result ordered as given).
 
-    For pure states the reduction is formed from the (keep, rest)
-    bipartition matrix M as M M^dagger; the global density matrix is
-    never materialized.
+    For pure states the reduction is M M^dagger of the (keep, rest)
+    matrix M on its support (:func:`_support_matrix`), placed at the
+    support's rows; the global density matrix is never materialized.
     """
     keep = list(keep)
     system = state.system
     sub = system.subsystem(keep)
     if isinstance(state, StateVector):
-        m = _bipartition_matrix(state, keep)
-        return DensityOperator._unchecked(sub, m @ m.conj().T)
+        rows, _, m = _support_matrix(state.tensor_view(), system.positions(keep))
+        gram = m @ m.conj().T
+        if rows is not None:
+            full = np.zeros((sub.total_dim,) * 2, dtype=complex)
+            full[np.ix_(rows, rows)] = gram
+            gram = full
+        return DensityOperator._unchecked(sub, gram)
     if isinstance(state, DensityOperator):
         n = len(system.registers)
         idx = system.positions(keep)

@@ -93,6 +93,38 @@ class TestFunctionChannel:
         assert np.max(np.abs(got - want)) < 1e-14
 
 
+def _loop_counter_permutation(fp, outputs_first):
+    """Reference: the counter permutation filled entry by entry."""
+    x, y, a, b = fp.x_size, fp.y_size, fp.a_size, fp.b_size
+    mat = np.zeros((x * y * a * b,) * 2)
+    for xi in range(x):
+        for yi in range(y):
+            for ai in range(a):
+                for bi in range(b):
+                    src = ((xi * y + yi) * a + ai) * b + bi
+                    ao = (ai + int(fp.f_a[xi, yi])) % a
+                    bo = (bi + int(fp.f_b[xi, yi])) % b
+                    if outputs_first:
+                        dst = ((ao * b + bo) * x + xi) * y + yi
+                    else:
+                        dst = ((xi * y + yi) * a + ao) * b + bo
+                    mat[dst, src] = 1.0
+    return mat
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_permutation_builders_match_loop_reference(seed):
+    from qiclab import ClassicalFunctionPair
+
+    rng = np.random.default_rng(seed)
+    x, y, a, b = (int(v) for v in rng.integers(1, 5, 4))
+    fp = ClassicalFunctionPair(rng.integers(0, a, (x, y)), rng.integers(0, b, (x, y)), a, b)
+    dilation = function_channel(fp).dilation.stages[0].matrix
+    assert np.array_equal(dilation, _loop_counter_permutation(fp, True))
+    compute = exact_protocol_for(fp).unitaries[1].stages[0].matrix
+    assert np.array_equal(compute, _loop_counter_permutation(fp, False))
+
+
 class TestFailureProbability:
     def test_exact_protocol_never_fails(self):
         fp = and_pair()

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, report formats, exit codes."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -222,17 +223,25 @@ def test_nfold_error(files, tmp_path):
 
 
 def test_non_finite_state_file_exits_with_message(files, tmp_path, capsys):
-    # fileio divides by the NaN norm, so the state gate is what stops it
+    # the finiteness gate runs before the norm and the trace, so no NaN
+    # reaches a division and no RuntimeWarning precedes the message
     obj = json.loads((files / "pure4.json").read_text())
     obj["amplitudes"][0] = [float("nan"), 0.0]
     bad = tmp_path / "nan_vector.json"
     bad.write_text(json.dumps(obj))
-    code = main(["redist-rates", str(bad), "--a=A", "--b=B", "--c=C", "--r=R"])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["redist-rates", str(bad), "--a=A", "--b=B", "--c=C", "--r=R"])
     assert code == 2
-    assert "non-finite" in capsys.readouterr().err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "amplitude vector has non-finite entries" in capsys.readouterr().err
     obj = json.loads((files / "state.json").read_text())
     obj["matrix"][0][0] = [float("nan"), 0.0]
     bad = tmp_path / "nan_density.json"
     bad.write_text(json.dumps(obj))
-    assert main(["qic", str(files / "proto.json"), str(bad)]) == 2
-    assert "non-finite" in capsys.readouterr().err
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["qic", str(files / "proto.json"), str(bad)])
+    assert code == 2
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "density matrix has non-finite entries" in capsys.readouterr().err

@@ -27,6 +27,7 @@ from qiclab import (
     reduced_density,
     tensor,
 )
+from qiclab import hilbert, measures
 from qiclab.fuzz import random_density_operator, random_state_vector
 
 H = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
@@ -198,6 +199,176 @@ class TestReducedDensity:
         lhs = reduced_density(mix, ["a"]).matrix
         rhs = 0.3 * reduced_density(r1, ["a"]).matrix + 0.7 * reduced_density(r2, ["a"]).matrix
         assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+
+def _dense_stage(arr, order, st):
+    """Reference stage application: move the consumed axes first, matmul."""
+    names = [r.name for r in order]
+    idx = [names.index(n) for n in st.in_names]
+    moved = np.moveaxis(arr, idx, range(len(idx)))
+    rest = moved.shape[len(idx):]
+    new = (st.matrix @ moved.reshape(st.matrix.shape[0], -1)).reshape(
+        tuple(r.dim for r in st.out_regs) + rest
+    )
+    return new, list(st.out_regs) + [r for i, r in enumerate(order) if i not in idx]
+
+
+def _dense_reduction(st, keep):
+    """Reference partial trace of a pure state: M M^dagger of the (keep, rest) matrix."""
+    idx = st.system.positions(keep)
+    m = np.moveaxis(st.tensor_view(), idx, range(len(idx)))
+    m = m.reshape(math.prod(st.system.dims[i] for i in idx), -1)
+    return m @ m.conj().T
+
+
+def _takes_support_path(st, keep):
+    idx = st.system.positions(keep)
+    return hilbert._support_matrix(st.tensor_view(), idx)[0] is not None
+
+
+SPARSE_SPECS = [("a", 3, ALICE), ("b", 4, BOB), ("c", 2, ALICE), ("d", 5, BOB), ("e", 3, REFERENCE)]
+
+
+def _sparse_state(seed, specs=SPARSE_SPECS):
+    """Random state with whole zero slices on non-leading axes plus scattered zeros."""
+    rng = np.random.default_rng(seed)
+    system = RegisterSystem.make(specs)
+    amps = rng.standard_normal(system.dims) + 1j * rng.standard_normal(system.dims)
+    amps[:, :, 0] = 0  # c = 0 never occurs
+    amps[:, :, :, [1, 3]] = 0  # nor d = 1, 3
+    amps[..., 1:] = 0  # e is padding in |0>
+    amps[rng.random(system.dims) < 0.5] = 0
+    amps[0, 1, 1, 0, 0] = 1.0  # never all zero
+    return StateVector(system, amps.reshape(-1) / np.linalg.norm(amps))
+
+
+def _state_with_nonzeros(count, seed, dims=(4, 4, 4)):
+    rng = np.random.default_rng(seed)
+    system = RegisterSystem.make([(f"r{i}", d, ALICE) for i, d in enumerate(dims)])
+    amps = np.zeros(system.total_dim, dtype=complex)
+    at = rng.choice(system.total_dim, count, replace=False)
+    amps[at] = rng.standard_normal(count) + 1j * rng.standard_normal(count)
+    return StateVector(system, amps / np.linalg.norm(amps))
+
+
+class TestSupportPath:
+    """Stage application and pure-state reductions on the support of the state."""
+
+    def _check_stage(self, st, stage):
+        order = list(st.system.registers)
+        got, got_order = hilbert._apply_stage_array(st.tensor_view(), order, stage)
+        want, want_order = _dense_stage(st.tensor_view(), order, stage)
+        assert got_order == want_order
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) < 1e-14
+
+    def _check_reductions(self, st, keeps):
+        for keep in keeps:
+            got = reduced_density(st, keep).matrix
+            assert np.max(np.abs(got - _dense_reduction(st, keep))) < 1e-14
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_sparse_states_match_dense_reference(self, seed):
+        st = _sparse_state(seed)
+        rng = np.random.default_rng(100 + seed)
+        assert _takes_support_path(st, ["c", "a"])
+        stages = [
+            Stage(haar_random_unitary(6, rng), ("c", "a"), (Register("p", 6),)),
+            Stage(haar_random_unitary(5, rng), ("d",), (Register("d", 5),)),
+            Stage(haar_random_unitary(12, rng), ("e", "b"), (Register("q", 2), Register("s", 6))),
+            Stage(haar_random_unitary(360, rng), ("a", "b", "c", "d", "e"), (Register("all", 360),)),
+        ]
+        for stage in stages:
+            self._check_stage(st, stage)
+        self._check_reductions(st, [["c", "a"], ["d"], ["e", "b", "c"], ["a", "b", "c", "d", "e"]])
+
+    def test_apply_unitary_matches_dense_reference(self):
+        st = _sparse_state(4)
+        rng = np.random.default_rng(9)
+        u = UnitaryOp(
+            (Register("d", 5), Register("b", 4)),
+            (Register("d", 5), Register("f", 4)),
+            (
+                Stage(haar_random_unitary(20, rng), ("d", "b"), (Register("d", 5), Register("f", 4))),
+                Stage(haar_random_unitary(4, rng), ("f",), (Register("f", 4),)),
+            ),
+        )
+        arr, order = st.tensor_view(), list(st.system.registers)
+        for stage in u.stages:
+            arr, order = _dense_stage(arr, order, stage)
+        out = apply_unitary(st, u)
+        assert [r.name for r in order] == list(out.system.names)
+        assert np.max(np.abs(out.amplitudes - arr.reshape(-1))) < 1e-14
+
+    def test_stages_with_no_inputs_or_no_outputs(self):
+        # the create/drop stages protocols use to adjust empty messages
+        st = _sparse_state(5)
+        self._check_stage(st, Stage(np.eye(1), (), (Register("new", 1),)))
+        grown = apply_unitary(
+            st,
+            UnitaryOp((), (Register("new", 1),), (Stage(np.eye(1), (), (Register("new", 1),)),)),
+            holders={"new": BOB},
+        )
+        self._check_stage(grown, Stage(np.eye(1), ("new",), ()))
+        assert np.array_equal(grown.amplitudes, st.amplitudes)
+
+    def test_unitary_matrix_through_its_identity_axis(self):
+        rng = np.random.default_rng(6)
+        regs = (Register("a", 2), Register("b", 3), Register("c", 2))
+        perm = np.eye(6)[[3, 0, 5, 1, 4, 2]]
+        u = UnitaryOp(
+            regs,
+            (Register("x", 6), Register("c", 2)),
+            (
+                Stage(perm, ("b", "a"), (Register("x", 6),)),
+                Stage(haar_random_unitary(12, rng), ("c", "x"), (Register("c", 2), Register("x", 6))),
+            ),
+        )
+        eye = np.eye(12, dtype=complex).reshape(2, 3, 2, 12)
+        # 12 nonzero entries out of 144 take the support path
+        assert hilbert._support_matrix(eye, [1, 0])[0] is not None
+        arr, order = eye, list(regs)
+        for stage in u.stages:
+            arr, order = _dense_stage(arr, order, stage)
+        pos = [[r.name for r in order].index(n) for n in u.out_names]
+        want = np.transpose(arr, pos + [len(order)]).reshape(12, 12)
+        assert np.max(np.abs(u.matrix - want)) < 1e-14
+
+    def test_single_amplitude_state(self):
+        amps = np.zeros(360, dtype=complex)
+        amps[217] = 1j
+        st = StateVector(RegisterSystem.make(SPARSE_SPECS), amps)
+        assert _takes_support_path(st, ["b"])
+        rng = np.random.default_rng(8)
+        self._check_stage(st, Stage(haar_random_unitary(8, rng), ("b", "c"), (Register("bc", 8),)))
+        self._check_reductions(st, [["b"], ["e", "a"], ["a", "b", "c", "d", "e"]])
+        assert measures.entropy(st, ["b", "d"]) == 0.0
+
+    @pytest.mark.parametrize("extra, support", [(0, True), (1, False)])
+    def test_either_side_of_the_path_selection(self, extra, support):
+        count = 64 // hilbert._SUPPORT_RATIO + extra
+        st = _state_with_nonzeros(count, 12 + extra)
+        assert _takes_support_path(st, ["r1"]) is support
+        rng = np.random.default_rng(20)
+        self._check_stage(st, Stage(haar_random_unitary(16, rng), ("r2", "r0"), (Register("t", 16),)))
+        self._check_reductions(st, [["r1"], ["r2", "r0"]])
+
+    def test_dense_state_builds_no_index_arrays(self, monkeypatch):
+        st = random_state_vector([("a", 3, ALICE), ("b", 4, BOB), ("c", 2, BOB)], 21)
+        assert np.all(st.amplitudes != 0)
+        u = UnitaryOp.dense(
+            haar_random_unitary(6, 22), (Register("c", 2), Register("a", 3)),
+            (Register("c", 2), Register("a", 3)),
+        )
+
+        def no_index_building(*args, **kwargs):
+            raise AssertionError("a dense state reached index building")
+
+        for name in ("flatnonzero", "nonzero", "unravel_index", "ravel_multi_index"):
+            monkeypatch.setattr(np, name, no_index_building)
+        apply_unitary(st, u)
+        reduced_density(st, ["b", "a"])
+        measures.entropy(st, ["c"])
 
 
 class TestPurify:
