@@ -80,7 +80,6 @@ from .constructions import (
 from .classical import (
     ClassicalFunctionPair,
     ClassicalProtocol,
-    TranscriptLength,
     and_pair,
     classical_cc,
     classical_ic,
@@ -93,6 +92,7 @@ from .classical import (
     noisy_protocol_for,
 )
 from .redistribution import (
+    CompressionBudget,
     MessageRate,
     RateReport,
     compression_budget,

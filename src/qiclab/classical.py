@@ -10,7 +10,7 @@ joint-table arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import xlogy
 
@@ -322,25 +322,16 @@ def classical_ic_prime(cp: ClassicalProtocol, mu: np.ndarray) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class TranscriptLength:
-    """Maximum and distribution-averaged transcript length in bits."""
-
-    max_bits: float
-    average_bits: float
-
-
-def classical_cc(cp: ClassicalProtocol, mu: np.ndarray) -> TranscriptLength:
-    """Transcript length under fixed-length per-message encoding.
+def classical_cc(cp: ClassicalProtocol, mu: np.ndarray) -> float:
+    """Transcript length in bits under fixed-length per-message encoding.
 
     Each message symbol costs ceil(log2 alphabet) bits, so the maximum
-    over non-zero-probability transcripts equals the average; both are
-    reported.
+    over non-zero-probability transcripts equals their average; it is 0
+    when no transcript has positive probability.
     """
     bits = sum(math.ceil(math.log2(s)) if s > 1 else 0 for s in cp.message_sizes)
     joint = joint_distribution(cp, mu)
-    total = float(bits) if joint.max() > 0 else 0.0
-    return TranscriptLength(total, total)
+    return float(bits) if joint.max() > 0 else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +410,7 @@ def noisy_protocol_for(fp: ClassicalFunctionPair, angle: float) -> ProtocolSpec:
             [math.sin(angle), math.cos(angle)],
         ]
     )
-    u2 = base.unitaries[1]
+    u1, u2, u3 = base.unitaries
     noisy_u2 = UnitaryOp(
         u2.in_regs,
         u2.out_regs,
@@ -429,15 +420,4 @@ def noisy_protocol_for(fp: ClassicalFunctionPair, angle: float) -> ProtocolSpec:
             Stage(rot, ("B_out",), (Register("B_out", 2),)),
         ),
     )
-    return ProtocolSpec(
-        num_messages=base.num_messages,
-        preshared=base.preshared,
-        unitaries=(base.unitaries[0], noisy_u2, base.unitaries[2]),
-        alice_in=base.alice_in,
-        bob_in=base.bob_in,
-        messages=base.messages,
-        alice_out=base.alice_out,
-        bob_out=base.bob_out,
-        alice_scratch=base.alice_scratch,
-        bob_scratch=base.bob_scratch,
-    )
+    return replace(base, unitaries=(u1, noisy_u2, u3))

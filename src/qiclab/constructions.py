@@ -34,40 +34,19 @@ from .hilbert import (
     StateVector,
     UnitaryOp,
     _fresh_name,
+    _prod,
     canonical_classical_purification,
     chain_unitaries,
     tensor,
 )
 from .protocol import (
     ProtocolSpec,
-    ProtocolValidationError,
     Slot,
+    _require_valid,
     purify_input,
     qic,
     suffix_protocol,
-    validate,
 )
-
-
-def _require_valid(p: ProtocolSpec) -> None:
-    findings = validate(p)
-    if findings:
-        raise ProtocolValidationError(findings)
-
-
-def _digits(x: int, dims: Sequence[int]) -> list[int]:
-    out = []
-    for d in reversed(dims):
-        out.append(x % d)
-        x //= d
-    return list(reversed(out))
-
-
-def _index(digits: Sequence[int], dims: Sequence[int]) -> int:
-    x = 0
-    for g, d in zip(digits, dims):
-        x = x * d + g
-    return x
 
 
 def controlled_permutation(
@@ -88,9 +67,7 @@ def controlled_permutation(
         raise ValueError(f"need one assignment per control value ({n}), got {len(assign)}")
     sdims = [r.dim for r in sources]
     tdims = [r.dim for r in targets]
-    d = 1
-    for x in sdims:
-        d *= x
+    d = _prod(sdims)
     for v, row in enumerate(assign):
         if sorted(row) != list(range(len(sources))):
             raise ValueError(f"assignment for control={v} is not a bijection")
@@ -100,13 +77,13 @@ def controlled_permutation(
                     f"control={v}: target {targets[t].name!r} (dim {tdims[t]}) cannot "
                     f"take source {sources[s].name!r} (dim {sdims[s]})"
                 )
+    # digit t of the destination of source state s under control v is
+    # digit assign[v][t] of s
+    digits = np.indices(sdims).reshape(len(sdims), d)
+    picked = digits[np.array(assign, dtype=int).reshape(n, len(sources))]
+    dst = np.ravel_multi_index(tuple(picked.swapaxes(0, 1)), tdims)
     mat = np.zeros((n * d, n * d))
-    for v in range(n):
-        row = assign[v]
-        for src in range(d):
-            digits = _digits(src, sdims)
-            tgt = _index([digits[row[t]] for t in range(len(targets))], tdims)
-            mat[v * d + tgt, v * d + src] = 1.0
+    mat[(dst + d * np.arange(n)[:, None]).ravel(), np.arange(n * d)] = 1.0
     return UnitaryOp.dense(
         mat, (control,) + tuple(sources), (control,) + tuple(targets)
     )
@@ -135,10 +112,7 @@ def _selector_block(
 
 
 def _zero_state(regs: Sequence[Register], holder) -> StateVector:
-    d = 1
-    for r in regs:
-        d *= r.dim
-    amps = np.zeros(d, dtype=complex)
+    amps = np.zeros(_prod(r.dim for r in regs), dtype=complex)
     amps[0] = 1.0
     return StateVector(
         RegisterSystem(tuple(regs), tuple(holder for _ in regs)), amps
@@ -370,37 +344,27 @@ def convex_mix(p1: ProtocolSpec, p2: ProtocolSpec, prob: float) -> ProtocolSpec:
     for pad in block.padding:
         preshared = tensor(preshared, pad)
 
-    k_a = len(mix_alice_in)
-    route_in_a = controlled_permutation(
+    def route(control: Register, sources, targets) -> UnitaryOp:
+        # selector 0 keeps the two halves in place, selector 1 swaps them
+        k = len(sources) // 2
+        keep = list(range(2 * k))
+        return controlled_permutation(
+            control, sources, targets, [keep, keep[k:] + keep[:k]]
+        )
+
+    route_in_a = route(s_a, mix_alice_in + tuple(pad_a), q1.alice_in + q2.alice_in)
+    route_in_b = route(s_b, mix_bob_in + tuple(pad_b), q1.bob_in + q2.bob_in)
+    route_out_a = route(
         s_a,
-        mix_alice_in + tuple(pad_a),
-        q1.alice_in + q2.alice_in,
-        [list(range(2 * k_a)), list(range(k_a, 2 * k_a)) + list(range(k_a))],
-    )
-    k_b = len(mix_bob_in)
-    route_in_b = controlled_permutation(
-        s_b,
-        mix_bob_in + tuple(pad_b),
-        q1.bob_in + q2.bob_in,
-        [list(range(2 * k_b)), list(range(k_b, 2 * k_b)) + list(range(k_b))],
-    )
-    qa1 = _out_registers(q1, q1.alice_out, final_bob=False)
-    qa2 = _out_registers(q2, q2.alice_out, final_bob=False)
-    qb1 = _out_registers(q1, q1.bob_out, final_bob=True)
-    qb2 = _out_registers(q2, q2.bob_out, final_bob=True)
-    o_a = len(mix_alice_out)
-    route_out_a = controlled_permutation(
-        s_a,
-        qa1 + qa2,
+        _out_registers(q1, q1.alice_out, final_bob=False)
+        + _out_registers(q2, q2.alice_out, final_bob=False),
         mix_alice_out + tuple(junk_a),
-        [list(range(2 * o_a)), list(range(o_a, 2 * o_a)) + list(range(o_a))],
     )
-    o_b = len(mix_bob_out)
-    route_out_b = controlled_permutation(
+    route_out_b = route(
         s_b,
-        qb1 + qb2,
+        _out_registers(q1, q1.bob_out, final_bob=True)
+        + _out_registers(q2, q2.bob_out, final_bob=True),
         mix_bob_out + tuple(junk_b),
-        [list(range(2 * o_b)), list(range(o_b, 2 * o_b)) + list(range(o_b))],
     )
 
     m1, m2 = q1.num_messages, q2.num_messages
@@ -546,6 +510,28 @@ def and_embed_protocol(
     )
 
 
+def _slot_routing_rows(n: int) -> list[list[int]]:
+    """Slot-averaging router rows, one per selector value: targets are the
+    n slots then the 2n copy homes; source 0 is the instance input, j the
+    copy j (1..2n) and 2n+k the padding k."""
+    rows = []
+    for i in range(1, n + 1):
+        row = []
+        for j in range(1, n + 1):  # slot j
+            if j < i:
+                row.append(j)
+            elif j == i:
+                row.append(0)
+            else:
+                row.append(n + j)
+        used = set(range(1, i)) | {n + j for j in range(i + 1, n + 1)}
+        pads = iter(range(2 * n + 1, 3 * n))
+        for h in range(1, 2 * n + 1):  # home of copy h
+            row.append(next(pads) if h in used else h)
+        rows.append(row)
+    return rows
+
+
 def and_average_protocol(
     pd: ProtocolSpec, mu: np.ndarray, n: int
 ) -> ProtocolSpec:
@@ -611,32 +597,10 @@ def and_average_protocol(
     for pad in block.padding:
         preshared = tensor(preshared, pad)
 
-    # source indices: 0 = instance input, j = copy j (1..2n), 2n+k = padding k
-    def routing_rows() -> list[list[int]]:
-        rows = []
-        for i in range(1, n + 1):
-            row = []
-            for j in range(1, n + 1):  # slot j
-                if j < i:
-                    row.append(j)
-                elif j == i:
-                    row.append(0)
-                else:
-                    row.append(n + j)
-            used = sorted(
-                [j for j in range(1, i)] + [n + j for j in range(i + 1, n + 1)]
-            )
-            used_set = set(used)
-            pads = iter(range(2 * n + 1, 3 * n))
-            for h in range(1, 2 * n + 1):  # home of copy h
-                row.append(next(pads) if h in used_set else h)
-            rows.append(row)
-        return rows
-
     reg_by = {r.name: r for r in qd.alice_in + qd.bob_in}
     slot_regs_a = tuple(reg_by[s.alice_in[0] + "#D"] for s in slots)
     slot_regs_b = tuple(reg_by[s.bob_in[0] + "#D"] for s in slots)
-    rows = routing_rows()
+    rows = _slot_routing_rows(n)
     route_a = controlled_permutation(
         s_a,
         (a_in,) + tuple(copies_a) + tuple(pad_a),

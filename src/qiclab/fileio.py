@@ -9,6 +9,7 @@ register order in a file is authoritative for basis ordering.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from pathlib import Path
 from typing import Any
 
@@ -37,6 +38,24 @@ class FileFormatError(ValueError):
 _HOLDERS = {h.value: h for h in Holder}
 
 
+def _int_in(v: Any, where: str) -> int:
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise FileFormatError(f"{where}: expected an integer, got {v!r}")
+    return v
+
+
+def _object_in(v: Any, where: str) -> dict:
+    if not isinstance(v, dict):
+        raise FileFormatError(f"{where}: expected an object, got {type(v).__name__}")
+    return v
+
+
+def _list_in(v: Any, where: str) -> list:
+    if not isinstance(v, list):
+        raise FileFormatError(f"{where}: expected a list, got {type(v).__name__}")
+    return v
+
+
 def _complex_out(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
@@ -56,9 +75,7 @@ def _vector_out(arr: np.ndarray) -> list:
 
 
 def _vector_in(lst: Any, where: str) -> np.ndarray:
-    if not isinstance(lst, list):
-        raise FileFormatError(f"{where}: expected a list")
-    return np.array([_complex_in(v, where) for v in lst], dtype=complex)
+    return np.array([_complex_in(v, where) for v in _list_in(lst, where)], dtype=complex)
 
 
 def _matrix_out(mat: np.ndarray) -> list:
@@ -74,19 +91,22 @@ def _matrix_in(lst: Any, where: str) -> np.ndarray:
     )
 
 
+def _names_in(v: Any, where: str) -> tuple[str, ...]:
+    return tuple(str(n) for n in _list_in(v, where))
+
+
+def _register_in(item: Any, where: str) -> Register:
+    if not isinstance(item, dict) or "name" not in item or "dim" not in item:
+        raise FileFormatError(f"{where}: registers need 'name' and 'dim'")
+    return Register(str(item["name"]), _int_in(item["dim"], f"{where}.dim"))
+
+
 def _regs_out(regs) -> list:
     return [{"name": r.name, "dim": r.dim} for r in regs]
 
 
 def _regs_in(lst: Any, where: str) -> tuple[Register, ...]:
-    if not isinstance(lst, list):
-        raise FileFormatError(f"{where}: expected a list of registers")
-    out = []
-    for k, item in enumerate(lst):
-        if not isinstance(item, dict) or "name" not in item or "dim" not in item:
-            raise FileFormatError(f"{where}[{k}]: registers need 'name' and 'dim'")
-        out.append(Register(str(item["name"]), int(item["dim"])))
-    return tuple(out)
+    return tuple(_register_in(x, f"{where}[{k}]") for k, x in enumerate(_list_in(lst, where)))
 
 
 # ---------------------------------------------------------------------------
@@ -120,26 +140,18 @@ def state_to_obj(state) -> dict:
 
 def obj_to_state(obj: dict, where: str = "state", tol: float | None = None):
     tol = TOL_NORM if tol is None else tol
-    if obj.get("type") != "state":
+    if _object_in(obj, where).get("type") != "state":
         raise FileFormatError(f"{where}: expected type 'state', got {obj.get('type')!r}")
-    regs_raw = obj.get("registers")
-    if not isinstance(regs_raw, list):
-        raise FileFormatError(f"{where}.registers: expected a list")
-    regs, holders = [], []
-    for k, item in enumerate(regs_raw):
-        if not isinstance(item, dict):
-            raise FileFormatError(f"{where}.registers[{k}]: expected an object")
-        try:
-            regs.append(Register(str(item["name"]), int(item["dim"])))
-        except KeyError as e:
-            raise FileFormatError(f"{where}.registers[{k}]: missing field {e}") from None
+    regs = _regs_in(obj.get("registers"), f"{where}.registers")
+    holders = []
+    for k, item in enumerate(obj["registers"]):
         holder = item.get("holder", "reference")
-        if holder not in _HOLDERS:
+        if not isinstance(holder, str) or holder not in _HOLDERS:
             raise FileFormatError(
                 f"{where}.registers[{k}].holder: unknown holder {holder!r}"
             )
         holders.append(_HOLDERS[holder])
-    system = RegisterSystem(tuple(regs), tuple(holders))
+    system = RegisterSystem(regs, tuple(holders))
     kind = obj.get("kind")
     if kind == "vector":
         amps = _vector_in(obj.get("amplitudes"), f"{where}.amplitudes")
@@ -172,9 +184,12 @@ def obj_to_state(obj: dict, where: str = "state", tol: float | None = None):
             raise FileFormatError(
                 f"{where}.matrix: trace {tr} deviates from 1 beyond tolerance {tol}"
             )
-        return DensityOperator(
-            system, mat / tr, classical=bool(obj.get("classical", False))
-        )
+        classical = obj.get("classical", False)
+        if not isinstance(classical, bool):
+            raise FileFormatError(
+                f"{where}.classical: expected true or false, got {classical!r}"
+            )
+        return DensityOperator(system, mat / tr, classical=classical)
     raise FileFormatError(f"{where}.kind: expected 'vector' or 'density', got {kind!r}")
 
 
@@ -198,7 +213,8 @@ def _unitary_out(u: UnitaryOp) -> dict:
     }
 
 
-def _unitary_in(obj: dict, where: str) -> UnitaryOp:
+def _unitary_in(obj: Any, where: str) -> UnitaryOp:
+    obj = _object_in(obj, where)
     in_regs = _regs_in(obj.get("in"), f"{where}.in")
     out_regs = _regs_in(obj.get("out"), f"{where}.out")
     try:
@@ -207,15 +223,19 @@ def _unitary_in(obj: dict, where: str) -> UnitaryOp:
                 _matrix_in(obj["matrix"], f"{where}.matrix"), in_regs, out_regs
             )
         stages = []
-        for k, st in enumerate(obj.get("stages", [])):
+        for k, st in enumerate(_list_in(obj.get("stages", []), f"{where}.stages")):
+            at = f"{where}.stages[{k}]"
+            st = _object_in(st, at)
             stages.append(
                 Stage(
-                    _matrix_in(st.get("matrix"), f"{where}.stages[{k}].matrix"),
-                    tuple(str(n) for n in st.get("in", [])),
-                    _regs_in(st.get("out"), f"{where}.stages[{k}].out"),
+                    _matrix_in(st.get("matrix"), f"{at}.matrix"),
+                    _names_in(st.get("in", []), f"{at}.in"),
+                    _regs_in(st.get("out"), f"{at}.out"),
                 )
             )
         return UnitaryOp(in_regs, out_regs, tuple(stages))
+    except FileFormatError:
+        raise
     except ValueError as e:
         raise FileFormatError(f"{where}: {e}") from None
 
@@ -245,40 +265,40 @@ def protocol_to_obj(p: ProtocolSpec) -> dict:
     }
 
 
+def _slot_in(obj: Any, where: str) -> Slot:
+    obj = _object_in(obj, where)
+    return Slot(*(_names_in(obj.get(f.name, []), f"{where}.{f.name}") for f in fields(Slot)))
+
+
 def obj_to_protocol(obj: dict, where: str = "protocol") -> ProtocolSpec:
     if obj.get("type") != "protocol":
         raise FileFormatError(f"{where}: expected type 'protocol', got {obj.get('type')!r}")
     preshared = obj_to_state(obj.get("preshared", {}), f"{where}.preshared")
     if not isinstance(preshared, StateVector):
         raise FileFormatError(f"{where}.preshared: must be a pure state vector")
-    unitaries = tuple(
-        _unitary_in(u, f"{where}.unitaries[{k}]")
-        for k, u in enumerate(obj.get("unitaries", []))
-    )
-    messages = tuple(
-        tuple(str(n) for n in block) for block in obj.get("messages", [])
-    )
-    slots = tuple(
-        Slot(
-            tuple(s.get("alice_in", [])),
-            tuple(s.get("bob_in", [])),
-            tuple(s.get("alice_out", [])),
-            tuple(s.get("bob_out", [])),
-        )
-        for s in obj.get("slots", [])
-    )
+
+    def items(key: str) -> list:
+        return _list_in(obj.get(key, []), f"{where}.{key}")
+
+    def names(key: str) -> tuple[str, ...]:
+        return _names_in(obj.get(key, []), f"{where}.{key}")
+
     p = ProtocolSpec(
-        num_messages=int(obj.get("num_messages", 0)),
+        num_messages=_int_in(obj.get("num_messages", 0), f"{where}.num_messages"),
         preshared=preshared,
-        unitaries=unitaries,
+        unitaries=tuple(
+            _unitary_in(u, f"{where}.unitaries[{k}]") for k, u in enumerate(items("unitaries"))
+        ),
         alice_in=_regs_in(obj.get("alice_in"), f"{where}.alice_in"),
         bob_in=_regs_in(obj.get("bob_in"), f"{where}.bob_in"),
-        messages=messages,
-        alice_out=tuple(obj.get("alice_out", [])),
-        bob_out=tuple(obj.get("bob_out", [])),
-        alice_scratch=tuple(obj.get("alice_scratch", [])),
-        bob_scratch=tuple(obj.get("bob_scratch", [])),
-        slots=slots,
+        messages=tuple(
+            _names_in(b, f"{where}.messages[{k}]") for k, b in enumerate(items("messages"))
+        ),
+        alice_out=names("alice_out"),
+        bob_out=names("bob_out"),
+        alice_scratch=names("alice_scratch"),
+        bob_scratch=names("bob_scratch"),
+        slots=tuple(_slot_in(x, f"{where}.slots[{k}]") for k, x in enumerate(items("slots"))),
     )
     findings = validate(p)
     if findings:
@@ -306,14 +326,16 @@ def obj_to_function_pair(obj: dict, where: str = "function_pair") -> ClassicalFu
         raise FileFormatError(
             f"{where}: expected type 'function_pair', got {obj.get('type')!r}"
         )
+    a_size = _int_in(obj.get("a_size"), f"{where}.a_size")
+    b_size = _int_in(obj.get("b_size"), f"{where}.b_size")
     try:
         return ClassicalFunctionPair(
             np.asarray(obj["f_a"], dtype=int),
             np.asarray(obj["f_b"], dtype=int),
-            int(obj["a_size"]),
-            int(obj["b_size"]),
+            a_size,
+            b_size,
         )
-    except (KeyError, ValueError) as e:
+    except (KeyError, TypeError, ValueError) as e:
         raise FileFormatError(f"{where}: {e}") from None
 
 
@@ -332,14 +354,16 @@ def obj_to_classical_protocol(obj: dict, where: str = "classical_protocol") -> C
         raise FileFormatError(
             f"{where}: expected type 'classical_protocol', got {obj.get('type')!r}"
         )
+    x_size = _int_in(obj.get("x_size"), f"{where}.x_size")
+    y_size = _int_in(obj.get("y_size"), f"{where}.y_size")
     try:
         return ClassicalProtocol(
-            int(obj["x_size"]),
-            int(obj["y_size"]),
+            x_size,
+            y_size,
             np.asarray(obj["r_probs"], dtype=float),
             tuple(np.asarray(k, dtype=float) for k in obj["kernels"]),
         )
-    except (KeyError, ValueError) as e:
+    except (KeyError, TypeError, ValueError) as e:
         raise FileFormatError(f"{where}: {e}") from None
 
 

@@ -82,6 +82,16 @@ def _prod(dims: Iterable[int]) -> int:
     return out
 
 
+def _rename(items: Iterable, mapping: Mapping[str, str]) -> tuple:
+    """Apply a register-name mapping to names or registers; unmapped ones stay."""
+    return tuple(
+        Register(mapping.get(x.name, x.name), x.dim)
+        if isinstance(x, Register)
+        else mapping.get(x, x)
+        for x in items
+    )
+
+
 @dataclass(frozen=True)
 class RegisterSystem:
     """An ordered collection of uniquely named registers with holder tags."""
@@ -158,6 +168,10 @@ class RegisterSystem:
             mapping.get(r.name, h) for r, h in zip(self.registers, self.holders)
         )
         return RegisterSystem(self.registers, holders)
+
+    def renamed(self, mapping: Mapping[str, str]) -> "RegisterSystem":
+        """Relabel registers by a name mapping; dimensions and holders stay."""
+        return RegisterSystem(_rename(self.registers, mapping), self.holders)
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -339,6 +353,17 @@ class UnitaryOp:
         """Identity map that relabels a register block."""
         d = _prod(r.dim for r in in_regs)
         return cls.dense(np.eye(d), in_regs, out_regs)
+
+    def renamed(self, mapping: Mapping[str, str]) -> "UnitaryOp":
+        """Apply a register-name mapping to the block and every stage."""
+        return UnitaryOp(
+            _rename(self.in_regs, mapping),
+            _rename(self.out_regs, mapping),
+            tuple(
+                Stage(st.matrix, _rename(st.in_names, mapping), _rename(st.out_regs, mapping))
+                for st in self.stages
+            ),
+        )
 
     def extended(self, passthrough: Sequence[Register]) -> "UnitaryOp":
         """Adjoin registers that the unitary formally covers but never touches."""
@@ -725,37 +750,13 @@ class ChannelOp:
 
     def renamed(self, mapping: Mapping[str, str]) -> "ChannelOp":
         """Apply a register-name mapping to every component of the channel."""
-
-        def name(n: str) -> str:
-            return mapping.get(n, n)
-
-        def ren(r: Register) -> Register:
-            return Register(name(r.name), r.dim)
-
-        anc_sys = self.ancilla_state.system
-        anc = StateVector._unchecked(
-            RegisterSystem(tuple(ren(r) for r in anc_sys.registers), anc_sys.holders),
-            self.ancilla_state.amplitudes,
-        )
-        stages = tuple(
-            Stage(
-                st.matrix,
-                tuple(name(n) for n in st.in_names),
-                tuple(ren(r) for r in st.out_regs),
-            )
-            for st in self.dilation.stages
-        )
-        dil = UnitaryOp(
-            tuple(ren(r) for r in self.dilation.in_regs),
-            tuple(ren(r) for r in self.dilation.out_regs),
-            stages,
-        )
+        anc = self.ancilla_state
         return ChannelOp(
-            tuple(ren(r) for r in self.in_regs),
-            tuple(ren(r) for r in self.out_regs),
-            anc,
-            dil,
-            tuple(name(n) for n in self.traced),
+            _rename(self.in_regs, mapping),
+            _rename(self.out_regs, mapping),
+            StateVector._unchecked(anc.system.renamed(mapping), anc.amplitudes),
+            self.dilation.renamed(mapping),
+            _rename(self.traced, mapping),
         )
 
     def _avoiding(self, state_names: Iterable[str]) -> "ChannelOp":

@@ -29,11 +29,11 @@ from .hilbert import (
     DensityOperator,
     Holder,
     Register,
-    RegisterSystem,
     Stage,
     StateVector,
     UnitaryOp,
     _fresh_name,
+    _rename,
     apply_unitary,
     canonical_purification,
     purify,
@@ -205,6 +205,12 @@ def validate(p: ProtocolSpec) -> list[str]:
     return findings
 
 
+def _require_valid(p: ProtocolSpec) -> None:
+    findings = validate(p)
+    if findings:
+        raise ProtocolValidationError(findings)
+
+
 def _fmt(d: Mapping[str, int]) -> str:
     return "{" + ", ".join(f"{k}:{v}" for k, v in sorted(d.items())) + "}"
 
@@ -291,9 +297,7 @@ def run(
     Mixed inputs are purified first; the reference registers ride along
     untouched and appear in the output reduction.
     """
-    findings = validate(p)
-    if findings:
-        raise ProtocolValidationError(findings)
+    _require_valid(p)
     vec = _prepare_input(p, input_state, ref_name)
     state = tensor(vec, p.preshared)
     if state.system.total_dim > max_dim:
@@ -328,9 +332,7 @@ def run(
 
 def qcc(p: ProtocolSpec) -> float:
     """Communication cost: sum of log2 message dimensions, in qubits."""
-    findings = validate(p)
-    if findings:
-        raise ProtocolValidationError(findings)
+    _require_valid(p)
     total = 0.0
     for i in range(1, p.num_messages + 1):
         dims = {r.name: r.dim for r in p.unitaries[i - 1].out_regs}
@@ -441,14 +443,10 @@ def protocol_error(
 
 def rename_state(state, mapping: Mapping[str, str]):
     """Relabel registers of a state (no physical change)."""
-    system = state.system
-    regs = tuple(
-        Register(mapping.get(r.name, r.name), r.dim) for r in system.registers
-    )
-    new_system = RegisterSystem(regs, system.holders)
+    system = state.system.renamed(mapping)
     if isinstance(state, StateVector):
-        return StateVector._unchecked(new_system, state.amplitudes)
-    return DensityOperator._unchecked(new_system, state.matrix, state.classical)
+        return StateVector._unchecked(system, state.amplitudes)
+    return DensityOperator._unchecked(system, state.matrix, state.classical)
 
 
 def nfold_error_check(
@@ -500,57 +498,26 @@ def nfold_error_check(
 
 def rename_protocol(p: ProtocolSpec, mapping: Mapping[str, str]) -> ProtocolSpec:
     """Apply a register-name mapping to every component of a protocol."""
-
-    def name(n: str) -> str:
-        return mapping.get(n, n)
-
-    def reg(r: Register) -> Register:
-        return Register(name(r.name), r.dim)
-
-    pres_sys = p.preshared.system
-    preshared = StateVector._unchecked(
-        RegisterSystem(tuple(reg(r) for r in pres_sys.registers), pres_sys.holders),
-        p.preshared.amplitudes,
-    )
-    unitaries = []
-    for u in p.unitaries:
-        stages = tuple(
-            Stage(
-                st.matrix,
-                tuple(name(x) for x in st.in_names),
-                tuple(reg(r) for r in st.out_regs),
+    return replace(
+        p,
+        preshared=rename_state(p.preshared, mapping),
+        unitaries=tuple(u.renamed(mapping) for u in p.unitaries),
+        alice_in=_rename(p.alice_in, mapping),
+        bob_in=_rename(p.bob_in, mapping),
+        messages=tuple(_rename(block, mapping) for block in p.messages),
+        alice_out=_rename(p.alice_out, mapping),
+        bob_out=_rename(p.bob_out, mapping),
+        alice_scratch=_rename(p.alice_scratch, mapping),
+        bob_scratch=_rename(p.bob_scratch, mapping),
+        slots=tuple(
+            Slot(
+                _rename(s.alice_in, mapping),
+                _rename(s.bob_in, mapping),
+                _rename(s.alice_out, mapping),
+                _rename(s.bob_out, mapping),
             )
-            for st in u.stages
-        )
-        unitaries.append(
-            UnitaryOp(
-                tuple(reg(r) for r in u.in_regs),
-                tuple(reg(r) for r in u.out_regs),
-                stages,
-            )
-        )
-    slots = tuple(
-        Slot(
-            tuple(name(x) for x in s.alice_in),
-            tuple(name(x) for x in s.bob_in),
-            tuple(name(x) for x in s.alice_out),
-            tuple(name(x) for x in s.bob_out),
-        )
-        for s in p.slots
-    )
-    return ProtocolSpec(
-        num_messages=p.num_messages,
-        preshared=preshared,
-        unitaries=tuple(unitaries),
-        alice_in=tuple(reg(r) for r in p.alice_in),
-        bob_in=tuple(reg(r) for r in p.bob_in),
-        messages=tuple(tuple(name(x) for x in block) for block in p.messages),
-        alice_out=tuple(name(x) for x in p.alice_out),
-        bob_out=tuple(name(x) for x in p.bob_out),
-        alice_scratch=tuple(name(x) for x in p.alice_scratch),
-        bob_scratch=tuple(name(x) for x in p.bob_scratch),
-        slots=slots,
-        notes=p.notes,
+            for s in p.slots
+        ),
     )
 
 
@@ -568,9 +535,7 @@ def pad_rounds(p: ProtocolSpec, rounds: int = 2) -> ProtocolSpec:
     """
     if rounds <= 0 or rounds % 2 != 0:
         raise ValueError("rounds must be a positive even integer")
-    findings = validate(p)
-    if findings:
-        raise ProtocolValidationError(findings)
+    _require_valid(p)
     taken = set(p.all_names)
     pads = []
     for k in range(rounds):

@@ -30,20 +30,29 @@ class MessageRate:
 
 @dataclass(frozen=True)
 class RateReport:
-    """Single-shot redistribution rates and/or a per-message budget.
+    """Single-shot redistribution rates for moving one register block.
 
-    ``q_min``/``e_net``/``h_c_given_b`` are filled by the single-shot
-    calculator; ``per_message`` and ``total_rate`` by the protocol
-    budget. ``total_rate`` for a budget includes the even split of the
-    overhead across messages plus the blocklength-rounding reserve, so it
-    equals the protocol's information cost plus the full overhead.
+    Communication above ``q_min`` qubits with net entanglement ``e_net``
+    ebits (generation when negative); communication plus entanglement
+    must exceed ``h_c_given_b``.
     """
 
-    q_min: float | None = None
-    e_net: float | None = None
-    h_c_given_b: float | None = None
-    per_message: tuple[MessageRate, ...] = ()
-    total_rate: float = 0.0
+    q_min: float
+    e_net: float
+    h_c_given_b: float
+
+
+@dataclass(frozen=True)
+class CompressionBudget:
+    """Per-message communication and entanglement budget of a protocol.
+
+    ``total_rate`` includes the even split of the overhead across
+    messages plus the blocklength-rounding reserve, so it equals the
+    protocol's information cost plus the full overhead.
+    """
+
+    per_message: tuple[MessageRate, ...]
+    total_rate: float
 
 
 def redist_rates(
@@ -69,7 +78,7 @@ def redist_rates(
         mutual_info(state, list(c), list(a)) - mutual_info(state, list(c), list(b))
     )
     h = cond_entropy(state, list(c), list(b))
-    return RateReport(q_min=q_min, e_net=e_net, h_c_given_b=h, total_rate=q_min)
+    return RateReport(q_min=q_min, e_net=e_net, h_c_given_b=h)
 
 
 def protocol_step_rates(
@@ -92,7 +101,6 @@ def protocol_step_rates(
             q_min=e.cost,
             e_net=0.5 * (e.h_crb - e.h_rb - e.h_b + e.h_cb),
             h_c_given_b=e.h_cb - e.h_b,
-            total_rate=e.cost,
         )
         for e in message_entropies(p, input_state, max_dim=max_dim)
     ]
@@ -104,7 +112,7 @@ def compression_budget(
     delta: float,
     *,
     max_dim: int = DEFAULT_MAX_DIM,
-) -> RateReport:
+) -> CompressionBudget:
     """Per-message rates whose total meets the information cost plus delta.
 
     Each message budget is its redistribution rate plus delta/(2M); the
@@ -121,10 +129,7 @@ def compression_budget(
         MessageRate(i, rep.q_min + share, max(0.0, rep.e_net) + share)
         for i, rep in enumerate(rates, start=1)
     )
-    return RateReport(
-        per_message=per,
-        total_rate=sum(m.q for m in per) + delta / 2.0,
-    )
+    return CompressionBudget(per, sum(m.q for m in per) + delta / 2.0)
 
 
 def message_dims(p: ProtocolSpec) -> list[int]:

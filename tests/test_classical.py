@@ -205,10 +205,11 @@ class TestClassicalInformationCost:
     def test_transcript_lengths(self):
         cp = random_classical_protocol(7, 3, max_alphabet=3)
         mu = random_distribution((2, 2), 8)
-        lengths = classical_cc(cp, mu)
         expected = sum(math.ceil(math.log2(s)) for s in cp.message_sizes)
-        assert lengths.max_bits == expected
-        assert lengths.average_bits == expected
+        assert classical_cc(cp, mu) == expected
+        assert classical_cc(cp, np.zeros((2, 2))) == 0.0
+        with pytest.raises(ValueError):
+            classical_cc(cp, np.full((3, 2), 1 / 6))
 
     def test_joint_distribution_normalized(self):
         cp = random_classical_protocol(9, 4)

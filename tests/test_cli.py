@@ -126,6 +126,10 @@ def test_ic_commands(files, capsys):
     assert main(["ic", str(files / "cp.json"), str(files / "mu.json")]) == 0
     assert main(["ic-prime", str(files / "cp.json"), str(files / "mu.json")]) == 0
     assert "information_cost_bits" in capsys.readouterr().out
+    argv = ["--report", "structured", "ic", str(files / "cp.json"), str(files / "mu.json")]
+    assert main(argv) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["transcript_max_bits"] == record["transcript_average_bits"] > 0
 
 
 def test_failure_prob(files, capsys):
@@ -245,3 +249,39 @@ def test_non_finite_state_file_exits_with_message(files, tmp_path, capsys):
     assert code == 2
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert "density matrix has non-finite entries" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name, path, value, field",
+    [
+        ("proto.json", ("messages",), [5, 6], "messages[0]"),
+        ("proto.json", ("unitaries", 0), 3, "unitaries[0]"),
+        ("proto.json", ("slots",), [3], "slots[0]"),
+        ("proto.json", ("unitaries", 0, "stages", 0, "in"), 7, "stages[0].in"),
+        ("proto.json", ("alice_in", 0, "dim"), [2], "alice_in[0].dim"),
+        ("proto.json", ("alice_in", 0, "dim"), 2.5, "alice_in[0].dim"),
+        ("proto.json", ("preshared",), 3, "preshared"),
+        ("proto.json", ("preshared", "registers", 0, "holder"), ["bob"], "holder"),
+        ("state.json", ("classical",), "false", "classical"),
+        ("cp.json", ("x_size",), None, "x_size"),
+    ],
+)
+def test_malformed_file_exits_2_naming_the_field(
+    files, tmp_path, capsys, name, path, value, field
+):
+    obj = json.loads((files / name).read_text())
+    target = obj
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    argv = {
+        "proto.json": ["validate", str(bad)],
+        "state.json": ["qic", str(files / "proto.json"), str(bad)],
+        "cp.json": ["ic", str(bad), str(files / "mu.json")],
+    }[name]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert field in err

@@ -28,6 +28,7 @@ from qiclab import (
     trace_norm,
     validate,
 )
+from qiclab.constructions import _slot_routing_rows
 from qiclab.fuzz import random_input_density, random_protocol
 from qiclab.protocol import rename_state
 
@@ -55,7 +56,64 @@ def trivial_protocol():
     )
 
 
+def _loop_permutation(n, sdims, tdims, assign):
+    """Reference: controlled_permutation's matrix filled one basis state at a time."""
+
+    def digits_of(x, dims):
+        out = []
+        for d in reversed(dims):
+            out.append(x % d)
+            x //= d
+        return list(reversed(out))
+
+    def index_of(digits, dims):
+        x = 0
+        for g, d in zip(digits, dims):
+            x = x * d + g
+        return x
+
+    d = int(np.prod(sdims, dtype=int))
+    mat = np.zeros((n * d, n * d))
+    for v in range(n):
+        row = assign[v]
+        for src in range(d):
+            digits = digits_of(src, sdims)
+            tgt = index_of([digits[row[t]] for t in range(len(tdims))], tdims)
+            mat[v * d + tgt, v * d + src] = 1.0
+    return mat
+
+
+def _check_against_loop(n, sdims, tdims, assign):
+    ctrl = Register("S", n)
+    sources = tuple(Register(f"s{k}", x) for k, x in enumerate(sdims))
+    targets = tuple(Register(f"t{k}", x) for k, x in enumerate(tdims))
+    u = controlled_permutation(ctrl, sources, targets, assign)
+    ref = _loop_permutation(n, list(sdims), list(tdims), assign)
+    assert np.array_equal(u.stages[0].matrix, ref)
+
+
 class TestControlledPermutation:
+    def test_matches_loop_reference_on_random_bijections(self):
+        rng = np.random.default_rng(17)
+        for _ in range(40):
+            n = int(rng.integers(1, 4))
+            sdims = rng.integers(1, 4, size=int(rng.integers(0, 5)))
+            tdims = sdims[rng.permutation(sdims.size)]
+            assign = []
+            for _ in range(n):
+                # a random bijection that sends each source to a target of its dim
+                row = np.empty(sdims.size, dtype=int)
+                for dim in set(sdims.tolist()):
+                    row[tdims == dim] = rng.permutation(np.flatnonzero(sdims == dim))
+                assign.append(row.tolist())
+            _check_against_loop(n, sdims.tolist(), tdims.tolist(), assign)
+
+    @pytest.mark.parametrize("n, dim", [(2, 2), (2, 3), (3, 2)])
+    def test_matches_loop_reference_on_slot_routing(self, n, dim):
+        rows = _slot_routing_rows(n)
+        assert len(rows) == n and all(len(r) == 3 * n for r in rows)
+        _check_against_loop(n, [dim] * (3 * n), [dim] * (3 * n), rows)
+
     def test_swap_under_control(self):
         ctrl = Register("S", 2)
         a, b = Register("a", 2), Register("b", 2)

@@ -577,6 +577,20 @@ class TestChannelStructure:
             ch = random_kraus_channel([("a", 3)], [("b", 2)], 3, rng)
             ch.check()
 
+    def test_renamed_channel_keeps_its_choi_matrix(self):
+        from qiclab.fuzz import random_kraus_channel
+
+        rng = np.random.default_rng(32)
+        ch = random_kraus_channel([("a", 3)], [("b", 2)], 3, rng)
+        names = set(ch.dilation.in_names + ch.dilation.out_names)
+        mapping = {n: n + "'" for n in names}
+        renamed = ch.renamed(mapping)
+        assert renamed.in_names == ("a'",) and renamed.out_names == ("b'",)
+        assert set(renamed.dilation.in_names + renamed.dilation.out_names) == set(
+            mapping.values()
+        )
+        assert np.array_equal(renamed.choi_matrix(), ch.choi_matrix())
+
     def test_apply_rides_spectators_along(self):
         ch = channel_from_kraus([np.eye(2)], [("a", 2)], [("a", 2)])
         st = tensor(ket("0", ["a"]), ket("1", ["spect"]))
