@@ -44,6 +44,12 @@ def _int_in(v: Any, where: str) -> int:
     return v
 
 
+def _str_in(v: Any, where: str) -> str:
+    if not isinstance(v, str):
+        raise FileFormatError(f"{where}: expected a string, got {v!r}")
+    return v
+
+
 def _object_in(v: Any, where: str) -> dict:
     if not isinstance(v, dict):
         raise FileFormatError(f"{where}: expected an object, got {type(v).__name__}")
@@ -92,13 +98,13 @@ def _matrix_in(lst: Any, where: str) -> np.ndarray:
 
 
 def _names_in(v: Any, where: str) -> tuple[str, ...]:
-    return tuple(str(n) for n in _list_in(v, where))
+    return tuple(_str_in(n, f"{where}[{k}]") for k, n in enumerate(_list_in(v, where)))
 
 
 def _register_in(item: Any, where: str) -> Register:
     if not isinstance(item, dict) or "name" not in item or "dim" not in item:
         raise FileFormatError(f"{where}: registers need 'name' and 'dim'")
-    return Register(str(item["name"]), _int_in(item["dim"], f"{where}.dim"))
+    return Register(_str_in(item["name"], f"{where}.name"), _int_in(item["dim"], f"{where}.dim"))
 
 
 def _regs_out(regs) -> list:

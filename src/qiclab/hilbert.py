@@ -3,12 +3,17 @@
 Named tensor factors with holder tags, pure state vectors, density
 operators, unitaries, partial trace, purification and channel dilations.
 
-Stage application, the partial trace of a pure state and the entropy
-kernel in :mod:`qiclab.measures` see a state as a (registers, rest)
-matrix through one helper, :func:`_support_matrix`, which cuts it to
-its exactly-nonzero rows and columns when the state is sparse (classical
-copies, zero padding, selector registers) and never transposes the full
-array in that case.
+A pure state holds its amplitudes in one of two forms, chosen once when
+the state is made: a dense array, or a support form (:class:`_Coords`)
+that keeps only the exactly-nonzero amplitudes as sorted flat indices
+and their values. States with many zero amplitudes (classical copies,
+zero padding, selector registers) take the support form, so tensor
+products, stage application, the partial trace and the entropy kernel in
+:mod:`qiclab.measures` work on the nonzero amplitudes only and never on
+an array of the full dimension. Each of those sees a state as a
+(registers, rest) matrix through one helper, :func:`_support_matrix`:
+a transpose of a dense array, a gather from the coordinates of a
+support-form one.
 
 Basis convention: registers are ordered and the leftmost register is the
 most significant index; matrices are row-major over that ordering.
@@ -19,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -33,13 +38,19 @@ TOL_EQ = 1e-8
 #: Largest global pure-state dimension a simulation will accept by default.
 DEFAULT_MAX_DIM = 2 ** 24
 
-#: An array is cut to its support when at most 1/_SUPPORT_RATIO of its
-#: entries are nonzero. Gathering by coordinates costs up to ~200 ns per
-#: nonzero entry, a dense transpose ~8 ns per entry (2-vCPU Xeon, numpy
-#: 2.4): on a 4M-entry array the two break even near 1/32 nonzero. The
-#: larger share keeps small states compressed, where the Gram matrix's
-#: eigensolver, not the gather, dominates.
+#: An array takes the support form when at most 1/_SUPPORT_RATIO of its
+#: entries are nonzero. Gathering a matrix from coordinates costs ~60-300 ns
+#: per nonzero entry, a dense transpose ~2-5 ns per entry (2-vCPU Xeon,
+#: numpy 2.4, 1M-entry arrays), so on gather time alone the support form
+#: wins only below ~1/30 nonzero. The larger share pays because the form
+#: also cuts what follows the gather: a stage multiplies, and the entropy
+#: kernel diagonalizes, only the occupied rows and columns. Its 24 bytes
+#: per nonzero entry are 3/8 of the dense array's memory at the threshold.
 _SUPPORT_RATIO = 4
+
+#: Flat indices of the support form are int64: states with this many
+#: amplitudes or more are refused rather than wrapped.
+_INDEX_LIMIT = 2 ** 63
 
 
 class StateValidationError(ValueError):
@@ -185,42 +196,137 @@ def _require_finite(arr: np.ndarray, what: str) -> None:
         raise StateValidationError(f"{what} has non-finite entries")
 
 
-@dataclass(frozen=True)
+class _Coords(NamedTuple):
+    """An array in support form: the sorted int64 flat indices of its
+    exactly-nonzero entries, their values, and the array's shape."""
+
+    idx: np.ndarray
+    vals: np.ndarray
+    shape: tuple[int, ...]
+
+
+def _in_form(data):
+    """A dense array or :class:`_Coords` in the form its nonzero share calls for.
+
+    At most 1/``_SUPPORT_RATIO`` nonzero entries give the support form,
+    more give a dense array. Deciding a dense array costs one count; an
+    index is built only when it is sparse.
+    """
+    if isinstance(data, _Coords):
+        if _SUPPORT_RATIO * data.idx.size <= _prod(data.shape):
+            return data
+        return _dense(data)
+    flat = data.reshape(-1)
+    if _SUPPORT_RATIO * np.count_nonzero(flat) > flat.size:
+        return data
+    idx = np.flatnonzero(flat)
+    return _Coords(idx, flat[idx], data.shape)
+
+
+def _dense(data) -> np.ndarray:
+    """A dense array or :class:`_Coords` as a dense array."""
+    if not isinstance(data, _Coords):
+        return data
+    arr = np.zeros(_prod(data.shape), dtype=data.vals.dtype)
+    arr[data.idx] = data.vals
+    return arr.reshape(data.shape)
+
+
 class StateVector:
-    """A normalized pure state over a register system."""
+    """A normalized pure state over a register system.
 
-    system: RegisterSystem
-    amplitudes: np.ndarray
+    The amplitudes are held dense or in support form (see the module
+    docstring), chosen once when the state is made; ``amplitudes`` is
+    the dense vector either way, materialized on first use for a
+    support-form state and read-only.
+    """
 
-    def __post_init__(self):
-        amps = np.array(self.amplitudes, dtype=complex).reshape(-1)
-        if amps.size != self.system.total_dim:
+    def __init__(self, system: RegisterSystem, amplitudes: np.ndarray):
+        amps = np.array(amplitudes, dtype=complex).reshape(-1)
+        if amps.size != system.total_dim:
             raise ValueError(
                 f"amplitude vector has length {amps.size}, "
-                f"system dimension is {self.system.total_dim}"
+                f"system dimension is {system.total_dim}"
             )
         _require_finite(amps, "amplitude vector")
         nrm = np.linalg.norm(amps)
         if abs(nrm - 1.0) > TOL_NORM:
             raise StateValidationError(f"state norm {nrm} deviates from 1 beyond {TOL_NORM}")
-        object.__setattr__(self, "amplitudes", _freeze(amps))
+        self._hold(system, amps)
+
+    def _hold(self, system: RegisterSystem, amps) -> None:
+        # exactly one of _amps and _coords is set here; ``amplitudes``
+        # caches a materialized _amps on a support-form state later
+        data = _in_form(amps if isinstance(amps, _Coords) else amps.reshape(system.dims))
+        dense = not isinstance(data, _Coords)
+        coords = None if dense else _Coords(_freeze(data.idx), _freeze(data.vals), system.dims)
+        object.__setattr__(self, "system", system)
+        object.__setattr__(self, "_amps", _freeze(data.reshape(-1)) if dense else None)
+        object.__setattr__(self, "_coords", coords)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen state")
 
     @classmethod
-    def _unchecked(cls, system: RegisterSystem, amps: np.ndarray) -> "StateVector":
+    def _unchecked(cls, system: RegisterSystem, amps) -> "StateVector":
+        """A state from valid amplitudes, a dense array or :class:`_Coords`
+        over ``system.dims``, held in the form their nonzero share calls for."""
         self = object.__new__(cls)
-        object.__setattr__(self, "system", system)
-        object.__setattr__(self, "amplitudes", _freeze(amps))
+        self._hold(system, amps)
         return self
+
+    def _with_system(self, system: RegisterSystem) -> "StateVector":
+        """The same amplitudes, in the same form, over a relabelled system."""
+        out = object.__new__(StateVector)
+        out.__dict__.update(self.__dict__, system=system)
+        return out
+
+    def _data(self):
+        """The amplitudes over ``system.dims``: :class:`_Coords` in support form,
+        else the dense array."""
+        return self._coords if self._coords is not None else self.tensor_view()
+
+    def _support(self) -> tuple[np.ndarray, np.ndarray]:
+        """Sorted flat indices of the nonzero amplitudes, and their values."""
+        if self._coords is not None:
+            return self._coords.idx, self._coords.vals
+        idx = np.flatnonzero(self._amps)
+        return idx, self._amps[idx]
+
+    def _nonzeros(self) -> int:
+        if self._coords is not None:
+            return self._coords.idx.size
+        return int(np.count_nonzero(self._amps))
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        if self._amps is None:
+            d = self.system.total_dim
+            if d > DEFAULT_MAX_DIM:
+                raise ValueError(
+                    f"materializing {d} amplitudes exceeds DEFAULT_MAX_DIM={DEFAULT_MAX_DIM}"
+                )
+            object.__setattr__(self, "_amps", _freeze(_dense(self._coords).reshape(-1)))
+        return self._amps
 
     def tensor_view(self) -> np.ndarray:
         return self.amplitudes.reshape(self.system.dims)
 
     @property
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        vals = self._amps if self._coords is None else self._coords.vals
+        return float(np.linalg.norm(vals))
 
     def with_holders(self, mapping: Mapping[str, Holder]) -> "StateVector":
-        return StateVector._unchecked(self.system.with_holders(mapping), self.amplitudes)
+        return self._with_system(self.system.with_holders(mapping))
+
+    def renamed(self, mapping: Mapping[str, str]) -> "StateVector":
+        """Relabel registers by a name mapping; the amplitudes stay."""
+        return self._with_system(self.system.renamed(mapping))
+
+    def __repr__(self) -> str:
+        form = "dense" if self._coords is None else f"{self._coords.idx.size} nonzero"
+        return f"StateVector(system={self.system!r}, {form})"
 
 
 @dataclass(frozen=True)
@@ -386,10 +492,11 @@ class UnitaryOp:
     def matrix(self) -> np.ndarray:
         """Materialize the dense matrix (in_regs order to out_regs order)."""
         d = self.dim
-        arr = np.eye(d, dtype=complex).reshape(tuple(r.dim for r in self.in_regs) + (d,))
+        arr = _in_form(np.eye(d, dtype=complex).reshape(tuple(r.dim for r in self.in_regs) + (d,)))
         order = list(self.in_regs)
         for st in self.stages:
             arr, order = _apply_stage_array(arr, order, st)
+        arr = _dense(arr)
         pos = [[r.name for r in order].index(n) for n in self.out_names]
         arr = np.transpose(arr, pos + [len(order)])
         return arr.reshape(d, d)
@@ -416,71 +523,61 @@ def chain_unitaries(first: UnitaryOp, second: UnitaryOp) -> UnitaryOp:
     return UnitaryOp(first.in_regs + extra_in, leftover + second.out_regs, first.stages + second.stages)
 
 
-def _support_matrix(arr: np.ndarray, row_axes: Sequence[int]):
-    """An array as its (``row_axes``, other axes) matrix, cut to its support.
+def _support_matrix(data, row_axes: Sequence[int]):
+    """An array as its (``row_axes``, other axes) matrix.
 
     Returns ``(rows, cols, m)``. The rows of the full matrix run over
     ``row_axes`` in the given order and its columns over the other axes in
-    theirs; ``m`` keeps only the rows and columns holding an entry that is
-    exactly nonzero (no threshold), and ``rows``, ``cols`` are their sorted
-    indices in the full matrix. ``m`` is built from the coordinates of the
-    nonzero entries, so the array itself is never transposed. An array with
-    more than 1/``_SUPPORT_RATIO`` of its entries nonzero gives ``rows =
-    cols = None`` and the whole matrix instead, decided by one count and
-    built without index arrays.
+    theirs. A dense array gives ``rows = cols = None`` and the whole
+    matrix, by one transpose. A :class:`_Coords` array gives ``m`` cut to
+    the rows and columns holding one of its entries, with ``rows`` and
+    ``cols`` their sorted indices in the full matrix; ``m`` is gathered
+    from the coordinates in work sized by the entries alone.
     """
     row_axes = list(row_axes)
-    shape = arr.shape
-    d_row = _prod(shape[a] for a in row_axes)
-    flat = arr.reshape(-1)
-    # one pass over the array; counting and locating on the boolean mask
-    # is cheap next to scanning complex entries again
-    mask = flat.astype(bool)
-    if _SUPPORT_RATIO * np.count_nonzero(mask) > flat.size:
-        perm = row_axes + [a for a in range(arr.ndim) if a not in row_axes]
-        return None, None, np.ascontiguousarray(arr.transpose(perm)).reshape(d_row, -1)
-    nz = np.flatnonzero(mask)
+    if not isinstance(data, _Coords):
+        perm = row_axes + [a for a in range(data.ndim) if a not in row_axes]
+        d_row = _prod(data.shape[a] for a in row_axes)
+        return None, None, np.ascontiguousarray(data.transpose(perm)).reshape(d_row, -1)
+    nz, vals, shape = data
     # row index: the row axes' digits of each flat index; column index: the
     # flat index with those digits struck out, most significant first
-    r, c = 0, nz
+    r, c = np.zeros_like(nz), nz
     for a in row_axes:
         r = r * shape[a] + nz // _prod(shape[a + 1:]) % shape[a]
     for a in sorted(row_axes):
         low = _prod(shape[a + 1:])
         c = c // (low * shape[a]) * low + c % low
-    rows, r = _occupied(r, d_row)
-    cols, c = _occupied(c, flat.size // d_row)
-    m = np.zeros((rows.size, cols.size), dtype=arr.dtype)
-    m[r, c] = flat[nz]
+    rows, r = np.unique(r, return_inverse=True)
+    cols, c = np.unique(c, return_inverse=True)
+    m = np.zeros((rows.size, cols.size), dtype=vals.dtype)
+    m[r, c] = vals
     return rows, cols, m
 
 
-def _occupied(idx: np.ndarray, n: int):
-    """Sorted distinct values of ``idx`` (all in ``range(n)``) and each entry's rank."""
-    seen = np.zeros(n, dtype=bool)
-    seen[idx] = True
-    kept = np.flatnonzero(seen)
-    return kept, np.searchsorted(kept, idx)
+def _apply_stage_array(data, order: list[Register], st: Stage):
+    """Apply a stage to a dense or :class:`_Coords` array whose leading axes follow ``order``.
 
-
-def _apply_stage_array(arr: np.ndarray, order: list[Register], st: Stage):
-    """Apply a stage to an array whose leading axes follow ``order``.
-
-    Trailing axes beyond the registers (if any) ride along untouched. The
-    stage matrix multiplies only the support of the array's (consumed,
-    rest) matrix; the product fills the nonzero columns of a zeroed result.
+    Trailing axes beyond the registers (if any) ride along untouched. A
+    dense array stays dense. On a support-form array the stage matrix
+    multiplies only the support of the (consumed, rest) matrix, and the
+    exact nonzeros of the product are the result's coordinates, in the
+    form their share calls for; no array of the full dimension is made.
     """
     names = [r.name for r in order]
     idx = [names.index(n) for n in st.in_names]
-    rest_shape = tuple(d for i, d in enumerate(arr.shape) if i not in idx)
-    rows, cols, m = _support_matrix(arr, idx)
+    rest_shape = tuple(d for i, d in enumerate(data.shape) if i not in idx)
+    out_shape = tuple(r.dim for r in st.out_regs) + rest_shape
+    rows, cols, m = _support_matrix(data, idx)
     if rows is None:
-        new = st.matrix @ m
+        new = (st.matrix @ m).reshape(out_shape)
     else:
-        new = np.zeros((st.matrix.shape[0], _prod(rest_shape)), dtype=complex)
-        new[:, cols] = st.matrix[:, rows] @ m
-    out_dims = tuple(r.dim for r in st.out_regs)
-    new = new.reshape(out_dims + rest_shape)
+        prod = st.matrix[:, rows] @ m
+        at = np.flatnonzero(prod)
+        # flat index out_row * |rest| + col, ascending since cols is sorted
+        out_row, j = np.divmod(at, prod.shape[1])
+        flat = out_row * _prod(rest_shape) + cols[j]
+        new = _in_form(_Coords(flat, prod.reshape(-1)[at], out_shape))
     kept = [order[i] for i in range(len(order)) if i not in idx]
     return new, list(st.out_regs) + kept
 
@@ -495,7 +592,18 @@ def tensor(x, y):
         system = RegisterSystem(
             sysx.registers + sysy.registers, sysx.holders + sysy.holders
         )
-        return StateVector._unchecked(system, np.kron(x.amplitudes, y.amplitudes))
+        if system.total_dim >= _INDEX_LIMIT:
+            raise ValueError(
+                f"tensor product dimension {system.total_dim} does not fit int64 indices"
+            )
+        if _SUPPORT_RATIO * x._nonzeros() * y._nonzeros() > system.total_dim:
+            return StateVector._unchecked(system, np.kron(x.amplitudes, y.amplitudes))
+        # the outer product of the supports; ascending as both supports are
+        ix, vx = x._support()
+        iy, vy = y._support()
+        idx = (ix[:, None] * sysy.total_dim + iy).reshape(-1)
+        vals = (vx[:, None] * vy).reshape(-1)
+        return StateVector._unchecked(system, _Coords(idx, vals, system.dims))
     if isinstance(x, DensityOperator) and isinstance(y, DensityOperator):
         overlap = set(x.system.names) & set(y.system.names)
         if overlap:
@@ -550,7 +658,7 @@ def apply_unitary(
             raise ValueError(
                 f"register {r.name!r} has dim {have.dim}, unitary expects {r.dim}"
             )
-    arr = state.tensor_view()
+    arr = state._data()
     order = list(system.registers)
     holder_map = {r.name: h for r, h in zip(system.registers, system.holders)}
     existing = set(holder_map)
@@ -576,21 +684,21 @@ def apply_unitary(
     new_system = RegisterSystem(
         tuple(order), tuple(holder_map[r.name] for r in order)
     )
-    return StateVector._unchecked(new_system, np.ascontiguousarray(arr).reshape(-1))
+    return StateVector._unchecked(new_system, arr)
 
 
 def reduced_density(state, keep: Sequence[str]) -> DensityOperator:
     """Partial trace down to ``keep`` (result ordered as given).
 
     For pure states the reduction is M M^dagger of the (keep, rest)
-    matrix M on its support (:func:`_support_matrix`), placed at the
-    support's rows; the global density matrix is never materialized.
+    matrix M (:func:`_support_matrix`), placed at the support's rows for
+    a support-form state; the global density matrix is never materialized.
     """
     keep = list(keep)
     system = state.system
     sub = system.subsystem(keep)
     if isinstance(state, StateVector):
-        rows, _, m = _support_matrix(state.tensor_view(), system.positions(keep))
+        rows, _, m = _support_matrix(state._data(), system.positions(keep))
         gram = m @ m.conj().T
         if rows is not None:
             full = np.zeros((sub.total_dim,) * 2, dtype=complex)
@@ -666,17 +774,18 @@ def canonical_purification(rho: DensityOperator, ref_name: str = "R") -> StateVe
         raise ValueError("canonical purification requires a diagonal state")
     if np.any(diag < -TOL_PSD):
         raise StateValidationError("negative probability on the diagonal")
-    support = np.nonzero(diag > TOL_PSD)[0]
+    support = np.flatnonzero(diag > TOL_PSD)
     s = int(support.size)
-    amps = np.zeros(diag.size * s, dtype=complex)
-    for k, z in enumerate(support):
-        amps[z * s + k] = math.sqrt(diag[z])
-    amps /= np.linalg.norm(amps)
+    vals = np.sqrt(diag[support]).astype(complex)
+    vals /= np.linalg.norm(vals)
     system = RegisterSystem(
         rho.system.registers + (Register(ref_name, s),),
         rho.system.holders + (REFERENCE,),
     )
-    return StateVector._unchecked(system, amps)
+    # z maps to flat index z * s + k(z), ascending with z
+    return StateVector._unchecked(
+        system, _Coords(support * s + np.arange(s), vals, system.dims)
+    )
 
 
 def canonical_classical_purification(
@@ -750,11 +859,10 @@ class ChannelOp:
 
     def renamed(self, mapping: Mapping[str, str]) -> "ChannelOp":
         """Apply a register-name mapping to every component of the channel."""
-        anc = self.ancilla_state
         return ChannelOp(
             _rename(self.in_regs, mapping),
             _rename(self.out_regs, mapping),
-            StateVector._unchecked(anc.system.renamed(mapping), anc.amplitudes),
+            self.ancilla_state.renamed(mapping),
             self.dilation.renamed(mapping),
             _rename(self.traced, mapping),
         )

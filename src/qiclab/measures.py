@@ -5,10 +5,10 @@ pure global state are evaluated on the smaller side of the bipartition,
 using the fact that both sides of a pure state share a spectrum; that
 side's spectrum is the eigenvalue list of its Gram matrix M M^dagger.
 M comes from :func:`qiclab.hilbert._support_matrix`, the helper that
-stage application and the partial trace share: for a sparse state it is
-cut to its exactly-nonzero rows and columns, which leaves the nonzero
-spectrum unchanged and shrinks the Gram matrix of states with many zero
-amplitudes (classical copies, padding, selector registers).
+stage application and the partial trace share: for a state in support
+form it is cut to its exactly-nonzero rows and columns, which leaves the
+nonzero spectrum unchanged and shrinks the Gram matrix of states with
+many zero amplitudes (classical copies, padding, selector registers).
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ def _pure_subsystem_spectrum(state: StateVector, subsystem: Sequence[str]) -> np
 
     The eigenvalues of the Gram matrix M M^dagger of the (side, rest)
     bipartition matrix M are the squared singular values of M. M comes
-    from :func:`_support_matrix`, cut to its support for a sparse state:
+    from :func:`_support_matrix`, cut to its support for a support-form state:
     exactly-zero rows only add zero eigenvalues and exactly-zero columns
     leave M M^dagger unchanged, so dropping them (no threshold) is exact.
     The Gram matrix is formed on the smaller side of M, M M^dagger or
@@ -80,7 +80,7 @@ def _pure_subsystem_spectrum(state: StateVector, subsystem: Sequence[str]) -> np
     side = subsystem if d_sub <= d_comp else list(comp)
     if not side:
         return np.array([1.0])
-    m = _support_matrix(state.tensor_view(), system.positions(side))[2]
+    m = _support_matrix(state._data(), system.positions(side))[2]
     # herk on the Fortran-ordered view m.T forms the conjugate of m m^dagger
     # (trans=2) or of m^dagger m (trans=0), whichever is smaller, without
     # copying a C-ordered m; only the upper triangle is filled

@@ -443,9 +443,9 @@ def protocol_error(
 
 def rename_state(state, mapping: Mapping[str, str]):
     """Relabel registers of a state (no physical change)."""
-    system = state.system.renamed(mapping)
     if isinstance(state, StateVector):
-        return StateVector._unchecked(system, state.amplitudes)
+        return state.renamed(mapping)
+    system = state.system.renamed(mapping)
     return DensityOperator._unchecked(system, state.matrix, state.classical)
 
 

@@ -264,6 +264,8 @@ def test_non_finite_state_file_exits_with_message(files, tmp_path, capsys):
         ("proto.json", ("preshared", "registers", 0, "holder"), ["bob"], "holder"),
         ("state.json", ("classical",), "false", "classical"),
         ("cp.json", ("x_size",), None, "x_size"),
+        ("proto.json", ("alice_in", 0, "name"), 5, "alice_in[0].name"),
+        ("proto.json", ("alice_out",), [["A"]], "alice_out[0]"),
     ],
 )
 def test_malformed_file_exits_2_naming_the_field(

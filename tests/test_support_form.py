@@ -1,0 +1,219 @@
+"""The support form of pure states: guards, both forms agreeing, no ambient work."""
+
+import math
+import pickle
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qiclab import (
+    ALICE,
+    BOB,
+    REFERENCE,
+    RegisterSystem,
+    StateVector,
+    and_average_protocol,
+    canonical_purification,
+    classical_state,
+    qic_terms,
+    reduced_density,
+    run,
+    tensor,
+)
+from qiclab import hilbert
+from qiclab.fuzz import random_input_density, random_protocol
+from qiclab.protocol import rename_state
+
+ALL_SUPPORT = 0  # every state, however full, takes the support form
+ALL_DENSE = 2 ** 40  # no state does (and the count stays in int64)
+
+
+def _point(name, dim, at, value=1.0):
+    """A one-amplitude state made in support form: nothing of size ``dim`` is allocated."""
+    system = RegisterSystem.make([(name, dim, ALICE)])
+    coords = hilbert._Coords(np.array([at]), np.array([value], dtype=complex), (dim,))
+    return StateVector._unchecked(system, coords)
+
+
+def _sparse_vector(specs, seed, zero_share=0.8):
+    rng = np.random.default_rng(seed)
+    system = RegisterSystem.make(specs)
+    d = system.total_dim
+    amps = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    amps[rng.random(d) < zero_share] = 0
+    amps[rng.integers(d)] = 1.0  # never all zero
+    return StateVector(system, amps / np.linalg.norm(amps))
+
+
+class TestForms:
+    def test_sparse_array_takes_the_support_form(self):
+        st_ = _sparse_vector([("a", 4, ALICE), ("b", 5, BOB), ("c", 3, REFERENCE)], 1)
+        assert st_._coords is not None
+        idx, vals, shape = st_._coords
+        assert shape == (4, 5, 3)
+        assert np.all(np.diff(idx) > 0) and np.all(vals != 0)
+        amps = st_.amplitudes
+        assert not amps.flags.writeable and st_.amplitudes is amps
+        assert np.array_equal(amps[idx], vals)
+        assert np.count_nonzero(amps) == idx.size
+        assert abs(st_.norm - 1.0) < 1e-12
+        back = pickle.loads(pickle.dumps(st_))
+        assert back._coords is not None and np.array_equal(back.amplitudes, amps)
+        with pytest.raises(AttributeError):
+            st_.system = back.system
+
+    def test_relabelling_keeps_the_form(self):
+        st_ = _sparse_vector([("a", 4, ALICE), ("b", 5, BOB)], 2)
+        for other in (
+            st_.with_holders({"a": BOB}),
+            rename_state(st_, {"a": "x"}),
+            st_.renamed({"b": "y"}),
+        ):
+            assert other._coords is st_._coords
+        assert rename_state(st_, {"a": "x"}).system.names == ("x", "b")
+
+    def test_tensor_of_supports_matches_kron(self):
+        x = _sparse_vector([("a", 4, ALICE), ("b", 3, BOB)], 3)
+        y = _sparse_vector([("c", 6, BOB)], 4)
+        xy = tensor(x, y)
+        assert xy._coords is not None
+        assert np.array_equal(xy.amplitudes, np.kron(x.amplitudes, y.amplitudes))
+        assert xy.system.dims == (4, 3, 6)
+
+    def test_dense_product_is_a_kron(self):
+        x = StateVector(RegisterSystem.make([("a", 2, ALICE)]), np.array([0.6, 0.8]))
+        y = StateVector(RegisterSystem.make([("b", 2, BOB)]), np.array([0.8, 0.6j]))
+        xy = tensor(x, y)
+        assert xy._coords is None
+        assert np.array_equal(xy.amplitudes, np.kron(x.amplitudes, y.amplitudes))
+
+    def test_canonical_purification_matches_a_loop(self):
+        probs = np.array([0.1, 0.0, 0.3, 0.0, 0.2, 0.4])
+        rho = classical_state(probs, [("x", 6, ALICE)])
+        got = canonical_purification(rho, "R")
+        support = np.flatnonzero(probs)
+        want = np.zeros(probs.size * support.size, dtype=complex)
+        for k, z in enumerate(support):
+            want[z * support.size + k] = math.sqrt(probs[z])
+        assert got._coords is not None
+        assert np.max(np.abs(got.amplitudes - want)) < 1e-15
+
+
+class TestIndexGuards:
+    """Support-form factors of dims >= 2^32: no guard can be reached by allocating."""
+
+    def test_tensor_refuses_products_beyond_int64(self):
+        x = _point("a", 2 ** 32, 2 ** 32 - 1)
+        for dim in (2 ** 31, 2 ** 32, 2 ** 40):
+            with pytest.raises(ValueError, match="int64"):
+                tensor(x, _point("b", dim, dim - 1))
+
+    def test_largest_product_keeps_exact_indices(self):
+        x = _point("a", 2 ** 32, 2 ** 32 - 1, 1j)
+        y = _point("b", 2 ** 31 - 1, 2 ** 31 - 2)
+        xy = tensor(x, y)
+        top = (2 ** 32 - 1) * (2 ** 31 - 1) + 2 ** 31 - 2
+        assert top < 2 ** 63
+        assert xy._coords.idx.tolist() == [top]
+        assert xy._coords.vals.tolist() == [1j]
+
+    def test_amplitudes_refused_above_max_dim(self):
+        x = _point("a", 2 ** 32, 7)
+        with pytest.raises(ValueError, match="DEFAULT_MAX_DIM"):
+            x.amplitudes
+        with pytest.raises(ValueError, match="DEFAULT_MAX_DIM"):
+            x.tensor_view()
+        assert x.norm == 1.0
+        big = tensor(x, _point("b", 2 ** 20, 3))
+        assert big.system.total_dim == 2 ** 52
+        with pytest.raises(ValueError, match="DEFAULT_MAX_DIM"):
+            big.amplitudes
+
+
+def _run_in_form(p, inp, ratio):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hilbert, "_SUPPORT_RATIO", ratio)
+        traj = run(p, inp)
+        terms = qic_terms(p, inp)
+    forms = {s._coords is None for s in traj.steps + (traj.final_state,)}
+    assert forms == {ratio == ALL_DENSE}
+    return traj, terms
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2 ** 31 - 1),
+    messages=st.sampled_from([2, 4]),
+    alice_dims=st.lists(st.integers(1, 3), min_size=1, max_size=2),
+    bob_dims=st.lists(st.integers(1, 3), min_size=1, max_size=2),
+    preshared=st.sampled_from([(1, 1), (2, 1), (2, 2)]),
+    classical=st.booleans(),
+)
+def test_both_forms_agree_on_random_protocols(
+    seed, messages, alice_dims, bob_dims, preshared, classical
+):
+    p = random_protocol(
+        seed, messages, alice_in_dims=alice_dims, bob_in_dims=bob_dims, preshared_dims=preshared
+    )
+    if classical:
+        # the basis-labelled purification: one amplitude per support point
+        inp = random_input_density(p, seed, classical=True)
+    else:
+        specs = [(r.name, r.dim, ALICE) for r in p.alice_in]
+        specs += [(r.name, r.dim, BOB) for r in p.bob_in] + [("Rin", 3, REFERENCE)]
+        inp = _sparse_vector(specs, seed)
+    sparse, sparse_terms = _run_in_form(p, inp, ALL_SUPPORT)
+    dense, dense_terms = _run_in_form(p, inp, ALL_DENSE)
+    assert np.max(np.abs(np.subtract(sparse_terms, dense_terms))) < 1e-12
+    assert len(sparse.steps) == len(dense.steps) == messages
+    for a, b in zip(sparse.steps + (sparse.final_state,), dense.steps + (dense.final_state,)):
+        assert a.system == b.system
+        assert np.max(np.abs(a.amplitudes - b.amplitudes)) < 1e-12
+    assert sparse.output.system == dense.output.system
+    assert np.max(np.abs(sparse.output.matrix - dense.output.matrix)) < 1e-12
+
+
+def test_slot_averaged_run_does_no_ambient_work(monkeypatch):
+    """The two-slot averaged protocol runs on its 7,776 nonzero amplitudes.
+
+    No ``np.kron`` is called and no ``np.zeros``/``np.empty`` of the
+    3,981,312 ambient size. The traced peak stays below a quarter of one
+    ambient complex array, so no ambient array of complex entries exists
+    during the run, and with it no ``astype`` (such as a boolean scan) of one.
+    """
+    pd = random_protocol(7, 2, alice_in_dims=(2, 2), bob_in_dims=(2, 2), preshared_dims=(1, 1))
+    mu = np.array([[1.0, 1.0], [1.0, 0.0]]) / 3.0
+    pa = and_average_protocol(pd, mu, 2)
+    sigma = classical_state(mu, [(pa.alice_in[0].name, 2, ALICE), (pa.bob_in[0].name, 2, BOB)])
+    ambient = 3_981_312
+    sizes = []
+
+    def no_kron(*args, **kwargs):
+        raise AssertionError("np.kron called")
+
+    def spy(fn):
+        def wrapped(shape, *args, **kwargs):
+            sizes.append(math.prod(np.atleast_1d(shape).tolist()))
+            return fn(shape, *args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(np, "kron", no_kron)
+    monkeypatch.setattr(np, "zeros", spy(np.zeros))
+    monkeypatch.setattr(np, "empty", spy(np.empty))
+    tracemalloc.start()
+    try:
+        traj = run(pa, sigma)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    final = traj.final_state
+    assert final.system.total_dim == ambient
+    assert final._coords.idx.size == 7776
+    assert sizes and max(sizes) < ambient
+    assert peak < 16 * ambient // 4
+    out = reduced_density(final, list(pa.alice_out) + list(pa.bob_out) + list(final.system.reference_names))
+    assert abs(np.trace(out.matrix).real - 1.0) < 1e-12
