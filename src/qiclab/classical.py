@@ -213,7 +213,7 @@ class ClassicalProtocol:
 
     def __post_init__(self):
         r = np.asarray(self.r_probs, dtype=float)
-        if r.ndim != 1 or np.any(r < 0) or abs(r.sum() - 1.0) > 1e-9:
+        if r.ndim != 1 or not np.all(r >= 0) or abs(r.sum() - 1.0) > 1e-9:
             raise ValueError("shared randomness must be a probability vector")
         object.__setattr__(self, "r_probs", r)
         kerns = []
@@ -226,8 +226,8 @@ class ClassicalProtocol:
                 raise ValueError(
                     f"kernel {i} has shape {k.shape}, expected {want} + (m_{i},)"
                 )
-            if np.any(k < 0):
-                raise ValueError(f"kernel {i} has negative entries")
+            if not np.all(k >= 0):
+                raise ValueError(f"kernel {i} has negative or NaN entries")
             row_sums = k.sum(axis=-1)
             if np.max(np.abs(row_sums - 1.0)) > 1e-12:
                 raise ValueError(f"kernel {i} rows are not normalized within 1e-12")

@@ -4,11 +4,21 @@ Top-level objects carry a ``type`` field: ``state``, ``protocol``,
 ``classical_protocol`` or ``function_pair``. Complex numbers are always
 two-element ``[re, im]`` arrays; matrices are row-major nested lists; the
 register order in a file is authoritative for basis ordering.
+
+Every numeric array (amplitudes, matrices, ``r_probs``, ``kernels``,
+``f_a``/``f_b``) is read by one ``np.array`` call and accepted only when
+numpy infers a regular array of the expected depth holding JSON numbers
+(``f_a``/``f_b``: integers only).  Strings, ``null``, nested lists where a
+number belongs, ragged rows and integers beyond 64 bits are refused with a
+``FileFormatError`` naming the first bad entry (``...matrix[3][1]``).  NaN
+and infinity pass the reader; the finiteness, norm, trace and
+probability gates behind it refuse them.
 """
 
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import fields
 from pathlib import Path
 from typing import Any
@@ -66,35 +76,72 @@ def _complex_out(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
-def _complex_in(v: Any, where: str) -> complex:
+# The dtype kinds np.array infers from JSON values: b(ool), i(nt64), u(int64)
+# and f(loat64).  A string gives U; null, an object or an integer beyond 64
+# bits gives O.
+_NUMBER = "biuf"
+_INTEGER = "iu"
+
+
+def _array_in(lst: Any, ndim: int, kinds: str, where: str, pairs: bool = False) -> np.ndarray:
+    """Read a regular nested list of numbers with one ``np.array`` call.
+
+    Accepted only when numpy infers one of ``kinds`` and ``ndim`` axes (plus
+    a trailing axis of length 2 when ``pairs``); a ragged list raises in
+    ``np.array`` itself.  Rejected input is walked once to name the entry.
+    """
+    try:
+        arr = np.array(lst)
+    except (ValueError, TypeError, OverflowError):
+        arr = None
     if (
-        not isinstance(v, (list, tuple))
-        or len(v) != 2
-        or not all(isinstance(x, (int, float)) for x in v)
+        arr is not None
+        and arr.dtype.kind in kinds
+        and arr.ndim == ndim + pairs
+        and (not pairs or arr.shape[-1] == 2)
     ):
-        raise FileFormatError(f"{where}: complex entries must be [re, im] pairs, got {v!r}")
-    return complex(v[0], v[1])
+        return arr
+    raise FileFormatError(_first_bad_entry(lst, ndim, kinds, where, pairs))
+
+
+def _first_bad_entry(v: Any, ndim: int, kinds: str, where: str, pairs: bool) -> str:
+    def number(x: Any) -> bool:
+        return not isinstance(x, list) and np.asarray(x).dtype.kind in kinds
+
+    def walk(x: Any, depth: int, at: str) -> str | None:
+        if depth == 0:
+            if pairs and not (isinstance(x, list) and len(x) == 2 and all(map(number, x))):
+                return f"{at}: complex entries must be [re, im] pairs of numbers, got {reprlib.repr(x)}"
+            if not pairs and not number(x):
+                what = "an integer" if kinds == _INTEGER else "a number"
+                return f"{at}: expected {what}, got {reprlib.repr(x)}"
+            return None
+        if not isinstance(x, list):
+            return f"{at}: expected a list, got {type(x).__name__}"
+        for i, y in enumerate(x):
+            bad = walk(y, depth - 1, f"{at}[{i}]")
+            if bad:
+                return bad
+        return None
+
+    return walk(v, ndim, where) or (
+        f"{where}: expected a regular {ndim}-dimensional array (rows of equal length)"
+    )
+
+
+def _complex_array_in(lst: Any, ndim: int, where: str) -> np.ndarray:
+    arr = _array_in(lst, ndim, _NUMBER, where, pairs=True)
+    # a view of the (re, im) float pairs keeps the sign of -0.0, which
+    # re + 1j * im would turn into +0.0
+    return np.ascontiguousarray(arr, dtype=float).view(complex)[..., 0]
 
 
 def _vector_out(arr: np.ndarray) -> list:
     return [_complex_out(z) for z in np.asarray(arr).reshape(-1)]
 
 
-def _vector_in(lst: Any, where: str) -> np.ndarray:
-    return np.array([_complex_in(v, where) for v in _list_in(lst, where)], dtype=complex)
-
-
 def _matrix_out(mat: np.ndarray) -> list:
     return [[_complex_out(z) for z in row] for row in np.asarray(mat)]
-
-
-def _matrix_in(lst: Any, where: str) -> np.ndarray:
-    if not isinstance(lst, list) or not all(isinstance(r, list) for r in lst):
-        raise FileFormatError(f"{where}: expected a nested list (row-major matrix)")
-    return np.array(
-        [[_complex_in(v, f"{where}[{i}]") for v in row] for i, row in enumerate(lst)],
-        dtype=complex,
-    )
 
 
 def _names_in(v: Any, where: str) -> tuple[str, ...]:
@@ -160,7 +207,7 @@ def obj_to_state(obj: dict, where: str = "state", tol: float | None = None):
     system = RegisterSystem(regs, tuple(holders))
     kind = obj.get("kind")
     if kind == "vector":
-        amps = _vector_in(obj.get("amplitudes"), f"{where}.amplitudes")
+        amps = _complex_array_in(obj.get("amplitudes"), 1, f"{where}.amplitudes")
         if amps.size != system.total_dim:
             raise FileFormatError(
                 f"{where}.amplitudes: length {amps.size} does not match dimension "
@@ -174,7 +221,7 @@ def obj_to_state(obj: dict, where: str = "state", tol: float | None = None):
             )
         return StateVector(system, amps / nrm)
     if kind == "density":
-        mat = _matrix_in(obj.get("matrix"), f"{where}.matrix")
+        mat = _complex_array_in(obj.get("matrix"), 2, f"{where}.matrix")
         d = system.total_dim
         if mat.shape != (d, d):
             raise FileFormatError(
@@ -226,7 +273,7 @@ def _unitary_in(obj: Any, where: str) -> UnitaryOp:
     try:
         if "matrix" in obj:
             return UnitaryOp.dense(
-                _matrix_in(obj["matrix"], f"{where}.matrix"), in_regs, out_regs
+                _complex_array_in(obj["matrix"], 2, f"{where}.matrix"), in_regs, out_regs
             )
         stages = []
         for k, st in enumerate(_list_in(obj.get("stages", []), f"{where}.stages")):
@@ -234,7 +281,7 @@ def _unitary_in(obj: Any, where: str) -> UnitaryOp:
             st = _object_in(st, at)
             stages.append(
                 Stage(
-                    _matrix_in(st.get("matrix"), f"{at}.matrix"),
+                    _complex_array_in(st.get("matrix"), 2, f"{at}.matrix"),
                     _names_in(st.get("in", []), f"{at}.in"),
                     _regs_in(st.get("out"), f"{at}.out"),
                 )
@@ -334,14 +381,11 @@ def obj_to_function_pair(obj: dict, where: str = "function_pair") -> ClassicalFu
         )
     a_size = _int_in(obj.get("a_size"), f"{where}.a_size")
     b_size = _int_in(obj.get("b_size"), f"{where}.b_size")
+    f_a = _array_in(obj.get("f_a"), 2, _INTEGER, f"{where}.f_a")
+    f_b = _array_in(obj.get("f_b"), 2, _INTEGER, f"{where}.f_b")
     try:
-        return ClassicalFunctionPair(
-            np.asarray(obj["f_a"], dtype=int),
-            np.asarray(obj["f_b"], dtype=int),
-            a_size,
-            b_size,
-        )
-    except (KeyError, TypeError, ValueError) as e:
+        return ClassicalFunctionPair(f_a, f_b, a_size, b_size)
+    except (TypeError, ValueError) as e:
         raise FileFormatError(f"{where}: {e}") from None
 
 
@@ -362,14 +406,15 @@ def obj_to_classical_protocol(obj: dict, where: str = "classical_protocol") -> C
         )
     x_size = _int_in(obj.get("x_size"), f"{where}.x_size")
     y_size = _int_in(obj.get("y_size"), f"{where}.y_size")
+    r_probs = _array_in(obj.get("r_probs"), 1, _NUMBER, f"{where}.r_probs")
+    # kernel i has axes (speaker input, i - 1 previous messages, randomness, message i)
+    kernels = tuple(
+        _array_in(k, i + 3, _NUMBER, f"{where}.kernels[{i}]")
+        for i, k in enumerate(_list_in(obj.get("kernels"), f"{where}.kernels"))
+    )
     try:
-        return ClassicalProtocol(
-            x_size,
-            y_size,
-            np.asarray(obj["r_probs"], dtype=float),
-            tuple(np.asarray(k, dtype=float) for k in obj["kernels"]),
-        )
-    except (KeyError, TypeError, ValueError) as e:
+        return ClassicalProtocol(x_size, y_size, r_probs, kernels)
+    except (TypeError, ValueError) as e:
         raise FileFormatError(f"{where}: {e}") from None
 
 
@@ -397,13 +442,19 @@ def load(path, *, tol: float | None = None, expect: str | None = None):
     """Load any supported object from a JSON file."""
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as e:
         raise FileFormatError(f"{path}: {e}") from None
+    except UnicodeDecodeError as e:
+        raise FileFormatError(f"{path}: not UTF-8 text (byte {e.start}: {e.reason})") from None
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise FileFormatError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from None
+    except ValueError as e:  # e.g. an integer literal beyond the int-to-str digit limit
+        raise FileFormatError(f"{path}: {e}") from None
+    except RecursionError:
+        raise FileFormatError(f"{path}: JSON nested too deeply to parse") from None
     if not isinstance(obj, dict):
         raise FileFormatError(f"{path}: top-level value must be an object")
     kind = obj.get("type")

@@ -1,10 +1,14 @@
 """Command-line interface: subcommands, report formats, exit codes."""
 
+import contextlib
+import io
 import json
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qiclab import ALICE, BOB, and_pair, classical_state, save
 from qiclab.cli import main
@@ -266,6 +270,10 @@ def test_non_finite_state_file_exits_with_message(files, tmp_path, capsys):
         ("cp.json", ("x_size",), None, "x_size"),
         ("proto.json", ("alice_in", 0, "name"), 5, "alice_in[0].name"),
         ("proto.json", ("alice_out",), [["A"]], "alice_out[0]"),
+        ("state.json", ("matrix", 0, 0), [10**400, 0], "matrix[0][0]"),
+        ("cp.json", ("r_probs",), ["0.75", "0.25"], "r_probs[0]"),
+        ("and.json", ("f_a", 1, 1), 1.9, "f_a[1][1]"),
+        ("cp.json", ("kernels", 0, 0, 0, 0), float("nan"), "kernel 1"),
     ],
 )
 def test_malformed_file_exits_2_naming_the_field(
@@ -282,8 +290,78 @@ def test_malformed_file_exits_2_naming_the_field(
         "proto.json": ["validate", str(bad)],
         "state.json": ["qic", str(files / "proto.json"), str(bad)],
         "cp.json": ["ic", str(bad), str(files / "mu.json")],
+        "and.json": ["failure-prob", str(files / "exact.json"), str(bad), str(files / "mu.json")],
     }[name]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert field in err
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"[" * 200_000, b'{"type": "\xff"}', b'{"type": "state", "n": ' + b"1" * 5000 + b"}"],
+    ids=["deep-nesting", "not-utf8", "digit-limit"],
+)
+def test_unparseable_file_exits_2_naming_the_path(files, tmp_path, capsys, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    assert main(["qic", str(files / "proto.json"), str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}") and err.count("\n") == 1
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("valid")
+    p = random_protocol(3, 2)
+    save(p, root / "proto.json")
+    save(random_input_density(p, 4, classical=True), root / "state.json")
+    save(random_state_vector([("A", 2, ALICE), ("B", 2, BOB), ("C", 2, ALICE), ("R", 2, ALICE)], 11),
+         root / "pure4.json")
+    save(random_classical_protocol(9, 2), root / "cp.json")
+    save(and_pair(), root / "and.json")
+    save(exact_protocol_for(and_pair()), root / "exact.json")
+    save(
+        classical_state(np.array([[0.3, 0.2], [0.25, 0.25]]), [("A_in", 2, ALICE), ("B_in", 2, BOB)]),
+        root / "mu.json",
+    )
+    return root
+
+
+def _numeric_leaves(obj, path=()):
+    if isinstance(obj, (dict, list)):
+        for k, v in obj.items() if isinstance(obj, dict) else enumerate(obj):
+            yield from _numeric_leaves(v, (*path, k))
+    elif isinstance(obj, (int, float)) and not isinstance(obj, bool):
+        yield path
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(["state.json", "pure4.json", "proto.json", "cp.json", "and.json"]),
+    st.data(),
+    st.sampled_from(["0.5", None, [1.0], 10**400, float("nan")]),
+)
+def test_any_bad_numeric_leaf_exits_2_with_one_error_line(valid_files, name, data, value):
+    obj = json.loads((valid_files / name).read_text())
+    path = data.draw(st.sampled_from(list(_numeric_leaves(obj))))
+    target = obj
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    bad = valid_files / f"bad_{name}"
+    bad.write_text(json.dumps(obj))
+    f = {n: str(valid_files / n) for n in ("proto.json", "state.json", "mu.json", "exact.json")}
+    argv = {
+        "state.json": ["qic", f["proto.json"], str(bad)],
+        "pure4.json": ["redist-rates", str(bad), "--a=A", "--b=B", "--c=C", "--r=R"],
+        "proto.json": ["qic", str(bad), f["state.json"]],
+        "cp.json": ["ic", str(bad), f["mu.json"]],
+        "and.json": ["failure-prob", f["exact.json"], str(bad), f["mu.json"]],
+    }[name]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code == 2, (path, value)
+    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qiclab import (
     ALICE,
@@ -18,7 +20,8 @@ from qiclab import (
     save,
     validate,
 )
-from qiclab.fileio import FileFormatError, protocol_to_obj
+from qiclab import fileio
+from qiclab.fileio import FileFormatError, _complex_array_in, protocol_to_obj
 from qiclab.fuzz import (
     random_classical_protocol,
     random_input_density,
@@ -207,3 +210,142 @@ class TestClassicalObjects:
         save(fp, path)
         with pytest.raises(FileFormatError, match="expected"):
             load(path, expect="protocol")
+
+
+# ---------------------------------------------------------------------------
+# The complex-array reader against the per-entry loop it replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_complex_in(v, where):
+    if (
+        not isinstance(v, (list, tuple))
+        or len(v) != 2
+        or not all(isinstance(x, (int, float)) for x in v)
+    ):
+        raise FileFormatError(f"{where}: complex entries must be [re, im] pairs, got {v!r}")
+    return complex(v[0], v[1])
+
+
+def _reference_complex_array_in(lst, ndim, where):
+    """The per-entry reader: one complex() per [re, im] pair."""
+    if ndim == 1:
+        if not isinstance(lst, list):
+            raise FileFormatError(f"{where}: expected a list")
+        return np.array([_reference_complex_in(v, where) for v in lst], dtype=complex)
+    if not isinstance(lst, list) or not all(isinstance(r, list) for r in lst):
+        raise FileFormatError(f"{where}: expected a nested list (row-major matrix)")
+    return np.array(
+        [[_reference_complex_in(v, f"{where}[{i}]") for v in row] for i, row in enumerate(lst)],
+        dtype=complex,
+    )
+
+
+_PART = st.one_of(
+    st.floats(allow_nan=False),  # subnormals included
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 2.0**53 + 1]),
+    st.integers(min_value=-(2**63), max_value=2**63 - 1),
+    st.booleans(),
+)
+_PAIR = st.lists(_PART, min_size=2, max_size=2)
+
+
+@st.composite
+def _complex_lists(draw, pair=_PAIR):
+    ndim = draw(st.sampled_from([1, 2]))
+    shape = draw(st.lists(st.integers(1, 4), min_size=ndim, max_size=ndim))
+    if ndim == 1:
+        return ndim, [draw(pair) for _ in range(shape[0])]
+    return ndim, [[draw(pair) for _ in range(shape[1])] for _ in range(shape[0])]
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype == complex and a.shape == b.shape and np.array_equal(
+        a.view(np.uint8), b.view(np.uint8)
+    )
+
+
+class TestComplexArrayReader:
+    @settings(max_examples=300, deadline=None)
+    @given(_complex_lists())
+    def test_matches_per_entry_reader_bit_for_bit(self, case):
+        ndim, lst = case
+        new = _complex_array_in(lst, ndim, "m")
+        assert _same_bits(new, _reference_complex_array_in(lst, ndim, "m"))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        _complex_lists(),
+        st.data(),
+        st.sampled_from(
+            ["0.5", None, [1.0, 0.0, 0.0], [1.0], 1.5, {"re": 1.0}, ["1", 0], [None, 0], [[1, 0], 0]]
+        ),
+    )
+    def test_malformed_entry_rejected_by_both_readers(self, case, data, bad):
+        ndim, lst = case
+        if ndim == 1:
+            k = data.draw(st.integers(0, len(lst) - 1))
+            lst[k] = bad
+            at = f"m[{k}]"
+        else:
+            i = data.draw(st.integers(0, len(lst) - 1))
+            j = data.draw(st.integers(0, len(lst[0]) - 1))
+            lst[i][j] = bad
+            at = f"m[{i}][{j}]"
+        with pytest.raises(FileFormatError):
+            _reference_complex_array_in(lst, ndim, "m")
+        with pytest.raises(FileFormatError, match="re, im") as e:
+            _complex_array_in(lst, ndim, "m")
+        assert str(e.value).startswith(f"{at}: ")
+
+    @pytest.mark.parametrize(
+        "lst, ndim, where",
+        [
+            ([[1, 0], [10**400, 0]], 1, "m[1]"),  # complex() raises OverflowError here
+            ([[[1, 0], [0, 0]], [[1, 0]]], 2, "m:"),  # ragged rows
+            ([], 1, "m:"),
+            ("[[1, 0]]", 1, "m:"),
+            ([[1, 0], [0, 0]], 2, "m[0][0]"),  # a vector where a matrix belongs
+        ],
+    )
+    def test_rejections_name_the_entry(self, lst, ndim, where):
+        with pytest.raises(FileFormatError) as e:
+            _complex_array_in(lst, ndim, "m")
+        assert str(e.value).startswith(where) and "\n" not in str(e.value)
+
+    def test_negative_zero_keeps_its_sign(self):
+        z = _complex_array_in([[-0.0, -0.0], [0, -0.0]], 1, "v")
+        assert np.signbit(z.real).tolist() == [True, False]
+        assert np.signbit(z.imag).tolist() == [True, True]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compose", "proto.json", "proto2.json"],
+            ["mix", "proto.json", "proto2.json", "--prob", "0.3"],
+            ["disj-and", "two_slot.json", "--mu", "0.4,0.3,0.3", "--copies", "2"],
+        ],
+        ids=["compose", "mix", "disj-and"],
+    )
+    def test_written_files_load_as_with_the_per_entry_reader(self, tmp_path, monkeypatch, argv):
+        from qiclab.cli import main
+
+        save(random_protocol(3, 2), tmp_path / "proto.json")
+        save(random_protocol(5, 2), tmp_path / "proto2.json")
+        two_slot = random_protocol(
+            7, 2, alice_in_dims=(2, 2), bob_in_dims=(2, 2), preshared_dims=(1, 1)
+        )
+        save(two_slot, tmp_path / "two_slot.json")
+        out = tmp_path / "out.json"
+        argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+        assert main([*argv, "--out", str(out)]) == 0
+        compared = []
+
+        def both(lst, ndim, where):
+            new = _complex_array_in(lst, ndim, where)
+            compared.append(_same_bits(new, _reference_complex_array_in(lst, ndim, where)))
+            return new
+
+        monkeypatch.setattr(fileio, "_complex_array_in", both)
+        load_protocol(out)
+        assert compared and all(compared)
