@@ -407,7 +407,7 @@ def obj_to_classical_protocol(obj: dict, where: str = "classical_protocol") -> C
     x_size = _int_in(obj.get("x_size"), f"{where}.x_size")
     y_size = _int_in(obj.get("y_size"), f"{where}.y_size")
     r_probs = _array_in(obj.get("r_probs"), 1, _NUMBER, f"{where}.r_probs")
-    # kernel i has axes (speaker input, i - 1 previous messages, randomness, message i)
+    # kernels[i] has axes (speaker input, i previous messages, randomness, message i + 1)
     kernels = tuple(
         _array_in(k, i + 3, _NUMBER, f"{where}.kernels[{i}]")
         for i, k in enumerate(_list_in(obj.get("kernels"), f"{where}.kernels"))

@@ -243,7 +243,7 @@ def _reference_complex_array_in(lst, ndim, where):
 
 _PART = st.one_of(
     st.floats(allow_nan=False),  # subnormals included
-    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 2.0**53 + 1]),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 2**53 + 1]),
     st.integers(min_value=-(2**63), max_value=2**63 - 1),
     st.booleans(),
 )
@@ -251,12 +251,12 @@ _PAIR = st.lists(_PART, min_size=2, max_size=2)
 
 
 @st.composite
-def _complex_lists(draw, pair=_PAIR):
+def _complex_lists(draw):
     ndim = draw(st.sampled_from([1, 2]))
     shape = draw(st.lists(st.integers(1, 4), min_size=ndim, max_size=ndim))
     if ndim == 1:
-        return ndim, [draw(pair) for _ in range(shape[0])]
-    return ndim, [[draw(pair) for _ in range(shape[1])] for _ in range(shape[0])]
+        return ndim, [draw(_PAIR) for _ in range(shape[0])]
+    return ndim, [[draw(_PAIR) for _ in range(shape[1])] for _ in range(shape[0])]
 
 
 def _same_bits(a, b):
