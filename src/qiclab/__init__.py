@@ -68,7 +68,6 @@ from .protocol import (
 )
 from .constructions import (
     ConcavityReport,
-    SelectorBlock,
     and_average_protocol,
     and_embed_protocol,
     concavity_check,

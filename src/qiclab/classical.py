@@ -29,12 +29,23 @@ from .hilbert import (
     _prod,
     classical_state,
 )
-from .protocol import ProtocolSpec, run
+from .protocol import ProtocolSpec, _output_regs, run
 
 LOG2 = np.log(2.0)
 
 #: Refuse to materialize joint tables larger than this.
 MAX_TABLE_SIZE = 10 ** 6
+
+
+def _int_table(table, name: str) -> np.ndarray:
+    """A function table as an int array, refusing entries that are not
+    finite integer values (a cast would truncate 1.9 to 1)."""
+    arr = np.asarray(table)
+    if arr.dtype.kind not in "biu" and not (
+        arr.dtype.kind == "f" and np.isfinite(arr).all() and (arr == np.trunc(arr)).all()
+    ):
+        raise ValueError(f"{name} entries must be finite integer values")
+    return arr.astype(int)
 
 
 @dataclass(frozen=True)
@@ -47,8 +58,8 @@ class ClassicalFunctionPair:
     b_size: int
 
     def __post_init__(self):
-        fa = np.asarray(self.f_a, dtype=int)
-        fb = np.asarray(self.f_b, dtype=int)
+        fa = _int_table(self.f_a, "f_a")
+        fb = _int_table(self.f_b, "f_b")
         if fa.ndim != 2 or fa.shape != fb.shape:
             raise ValueError("function tables must be 2-D and share a shape")
         if fa.min() < 0 or fa.max() >= self.a_size:
@@ -154,14 +165,8 @@ def failure_probability(
     d_b = _prod(r.dim for r in p.bob_in)
     if mu.shape != (d_a, d_b):
         raise ValueError(f"distribution shape {mu.shape} does not match inputs {(d_a, d_b)}")
-    d_aout = _prod(
-        {r.name: r.dim for r in p.unitaries[p.num_messages].out_regs}[n]
-        for n in p.alice_out
-    )
-    d_bout = _prod(
-        {r.name: r.dim for r in p.unitaries[p.num_messages - 1].out_regs}[n]
-        for n in p.bob_out
-    )
+    d_aout = _prod(r.dim for r in _output_regs(p, p.alice_out))
+    d_bout = _prod(r.dim for r in _output_regs(p, p.bob_out))
     if (d_aout, d_bout) != (fp.a_size, fp.b_size):
         raise ValueError(
             f"protocol output dimensions {(d_aout, d_bout)} do not match the "
@@ -171,19 +176,11 @@ def failure_probability(
         (r.name, r.dim, BOB) for r in p.bob_in
     ]
     rho = classical_state(mu.reshape(-1), specs)
-    traj = run(p, rho, max_dim=max_dim)
-    final = traj.final_state
-    system = final.system
-    refs = system.reference_names
-    if len(refs) != 1:
+    output = run(p, rho, max_dim=max_dim).output
+    if len(output.system.reference_names) != 1:
         raise RuntimeError("expected a single canonical reference register")
-    keep = list(p.alice_out) + list(p.bob_out) + list(refs)
-    idx = system.positions(keep)
-    other = [i for i in range(len(system.registers)) if i not in set(idx)]
-    probs = np.abs(final.tensor_view()) ** 2
-    d_keep = _prod(system.dims[i] for i in idx)
-    marg = probs.transpose(idx + other).reshape(d_keep, -1).sum(axis=1)
-    marg = marg.reshape(d_aout, d_bout, -1)
+    # the output keeps Alice's outputs, Bob's outputs, then the reference
+    marg = np.diag(output.matrix).real.reshape(d_aout, d_bout, -1)
     # the reference enumerates the support of mu in diagonal order
     support_points = np.nonzero(mu.reshape(-1) > TOL_PSD)[0]
     correct = 0.0

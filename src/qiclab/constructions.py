@@ -42,6 +42,8 @@ from .hilbert import (
 from .protocol import (
     ProtocolSpec,
     Slot,
+    _ProtocolBuilder,
+    _output_regs,
     _require_valid,
     purify_input,
     qic,
@@ -89,26 +91,15 @@ def controlled_permutation(
     )
 
 
-@dataclass(frozen=True)
-class SelectorBlock:
-    """Selector registers plus the padding pure states they route."""
-
-    branch_count: int
-    selector_state: StateVector
-    padding: tuple[StateVector, ...]
-
-
-def _selector_block(
-    weights: Sequence[float], s_a: Register, s_b: Register, padding: Sequence[StateVector]
-) -> SelectorBlock:
+def _selector_state(weights: Sequence[float], s_a: Register, s_b: Register) -> StateVector:
+    """The selector pair sum_i sqrt(w_i) |i>|i>, Alice holding ``s_a``."""
     n = len(weights)
     amps = np.zeros(n * n, dtype=complex)
     for i, w in enumerate(weights):
         amps[i * n + i] = math.sqrt(w)
-    state = StateVector(
+    return StateVector(
         RegisterSystem((s_a, s_b), (ALICE, BOB)), amps
     )
-    return SelectorBlock(n, state, tuple(padding))
 
 
 def _zero_state(regs: Sequence[Register], holder) -> StateVector:
@@ -117,88 +108,6 @@ def _zero_state(regs: Sequence[Register], holder) -> StateVector:
     return StateVector(
         RegisterSystem(tuple(regs), tuple(holder for _ in regs)), amps
     )
-
-
-class _ProtocolBuilder:
-    """Walks the alternating schedule, auto-extending each step's unitary
-    with pass-through registers so it formally covers the speaker's whole
-    holding."""
-
-    def __init__(
-        self,
-        preshared: StateVector,
-        alice_in: Sequence[Register],
-        bob_in: Sequence[Register],
-    ):
-        self.preshared = preshared
-        self.alice_in = tuple(alice_in)
-        self.bob_in = tuple(bob_in)
-        self.alice_hold: dict[str, Register] = {r.name: r for r in alice_in}
-        self.bob_hold: dict[str, Register] = {r.name: r for r in bob_in}
-        for r, h in zip(preshared.system.registers, preshared.system.holders):
-            (self.alice_hold if h is ALICE else self.bob_hold)[r.name] = r
-        self.incoming: dict[str, Register] = {}
-        self.unitaries: list[UnitaryOp] = []
-        self.messages: list[tuple[str, ...]] = []
-
-    def step(self, core: UnitaryOp | None, message: Sequence[str] | None) -> None:
-        i = len(self.unitaries) + 1
-        alice_turn = i % 2 == 1
-        hold = self.alice_hold if alice_turn else self.bob_hold
-        expected = dict(hold)
-        expected.update(self.incoming)
-        if core is None:
-            core = UnitaryOp((), (), ())
-        stray = set(core.in_names) - set(expected)
-        if stray:
-            raise ValueError(
-                f"step {i}: unitary consumes registers the speaker does not "
-                f"hold: {sorted(stray)}"
-            )
-        missing = tuple(expected[n] for n in expected if n not in set(core.in_names))
-        u = core.extended(missing)
-        out_regs = {r.name: r for r in u.out_regs}
-        msg = tuple(message) if message is not None else ()
-        new_hold = {n: r for n, r in out_regs.items() if n not in set(msg)}
-        if alice_turn:
-            self.alice_hold = new_hold
-        else:
-            self.bob_hold = new_hold
-        self.incoming = {n: out_regs[n] for n in msg}
-        self.unitaries.append(u)
-        if message is not None:
-            self.messages.append(msg)
-
-    def build(
-        self,
-        alice_out: Sequence[str],
-        bob_out: Sequence[str],
-        slots: Sequence[Slot] = (),
-        notes: Sequence[str] = (),
-    ) -> ProtocolSpec:
-        p = ProtocolSpec(
-            num_messages=len(self.messages),
-            preshared=self.preshared,
-            unitaries=tuple(self.unitaries),
-            alice_in=self.alice_in,
-            bob_in=self.bob_in,
-            messages=tuple(self.messages),
-            alice_out=tuple(alice_out),
-            bob_out=tuple(bob_out),
-            alice_scratch=tuple(n for n in self.alice_hold if n not in set(alice_out)),
-            bob_scratch=tuple(n for n in self.bob_hold if n not in set(bob_out)),
-            slots=tuple(slots),
-            notes=tuple(notes),
-        )
-        _require_valid(p)
-        return p
-
-
-def _out_registers(p: ProtocolSpec, names: Sequence[str], final_bob: bool) -> tuple[Register, ...]:
-    """Output registers (with dims) as produced by the closing unitaries."""
-    u = p.unitaries[p.num_messages - 1] if final_bob else p.unitaries[p.num_messages]
-    dims = {r.name: r.dim for r in u.out_regs}
-    return tuple(Register(n, dims[n]) for n in names)
 
 
 def parallel_compose(p1: ProtocolSpec, p2: ProtocolSpec) -> ProtocolSpec:
@@ -231,12 +140,10 @@ def parallel_compose(p1: ProtocolSpec, p2: ProtocolSpec) -> ProtocolSpec:
             builder.step(core, block)
         else:
             builder.step(core, None)
-    notes = ("second argument ran as the longer branch",) if swapped else ()
     return builder.build(
         q1.alice_out + q2.alice_out,
         q1.bob_out + q2.bob_out,
         slots=q1.input_slots + q2.input_slots,
-        notes=notes,
     )
 
 
@@ -272,9 +179,7 @@ def fix_input(p2: ProtocolSpec, side: str, fixed: DensityOperator) -> ProtocolSp
     alice_in = tuple(r for r in p2.alice_in if r.name in set(kept.alice_in))
     bob_in = tuple(r for r in p2.bob_in if r.name in set(kept.bob_in))
     builder = _ProtocolBuilder(preshared, alice_in, bob_in)
-    m = p2.num_messages
-    for i in range(1, m + 2):
-        builder.step(p2.unitaries[i - 1], p2.messages[i - 1] if i <= m else None)
+    builder.replay(p2.unitaries, p2.messages)
     return builder.build(kept.alice_out, kept.bob_out, slots=(kept,))
 
 
@@ -290,21 +195,19 @@ def convex_mix(p1: ProtocolSpec, p2: ProtocolSpec, prob: float) -> ProtocolSpec:
         raise ValueError(f"prob must lie in [0, 1], got {prob}")
     _require_valid(p1)
     _require_valid(p2)
-    notes = []
     if p2.num_messages > p1.num_messages:
         p1, p2 = p2, p1
         prob = 1.0 - prob
-        notes.append("branches swapped so the first runs longer")
     in_dims = tuple(r.dim for r in p1.alice_in), tuple(r.dim for r in p1.bob_in)
     if in_dims != (
         tuple(r.dim for r in p2.alice_in),
         tuple(r.dim for r in p2.bob_in),
     ):
         raise ValueError("the two protocols must share input register shapes")
-    a1_out = _out_registers(p1, p1.alice_out, final_bob=False)
-    b1_out = _out_registers(p1, p1.bob_out, final_bob=True)
-    a2_out = _out_registers(p2, p2.alice_out, final_bob=False)
-    b2_out = _out_registers(p2, p2.bob_out, final_bob=True)
+    a1_out = _output_regs(p1, p1.alice_out)
+    b1_out = _output_regs(p1, p1.bob_out)
+    a2_out = _output_regs(p2, p2.alice_out)
+    b2_out = _output_regs(p2, p2.bob_out)
     if tuple(r.dim for r in a1_out) != tuple(r.dim for r in a2_out) or tuple(
         r.dim for r in b1_out
     ) != tuple(r.dim for r in b2_out):
@@ -333,16 +236,10 @@ def convex_mix(p1: ProtocolSpec, p2: ProtocolSpec, prob: float) -> ProtocolSpec:
     pad_b = [fresh(f"{r.name}~pad", r.dim) for r in mix_bob_in]
     junk_a = [fresh(f"{r.name}~junk", r.dim) for r in mix_alice_out]
     junk_b = [fresh(f"{r.name}~junk", r.dim) for r in mix_bob_out]
-    block = _selector_block(
-        [prob, 1.0 - prob],
-        s_a,
-        s_b,
-        (_zero_state(pad_a, ALICE), _zero_state(pad_b, BOB)),
-    )
     preshared = tensor(q1.preshared, q2.preshared)
-    preshared = tensor(preshared, block.selector_state)
-    for pad in block.padding:
-        preshared = tensor(preshared, pad)
+    preshared = tensor(preshared, _selector_state([prob, 1.0 - prob], s_a, s_b))
+    preshared = tensor(preshared, _zero_state(pad_a, ALICE))
+    preshared = tensor(preshared, _zero_state(pad_b, BOB))
 
     def route(control: Register, sources, targets) -> UnitaryOp:
         # selector 0 keeps the two halves in place, selector 1 swaps them
@@ -356,14 +253,12 @@ def convex_mix(p1: ProtocolSpec, p2: ProtocolSpec, prob: float) -> ProtocolSpec:
     route_in_b = route(s_b, mix_bob_in + tuple(pad_b), q1.bob_in + q2.bob_in)
     route_out_a = route(
         s_a,
-        _out_registers(q1, q1.alice_out, final_bob=False)
-        + _out_registers(q2, q2.alice_out, final_bob=False),
+        _output_regs(q1, q1.alice_out) + _output_regs(q2, q2.alice_out),
         mix_alice_out + tuple(junk_a),
     )
     route_out_b = route(
         s_b,
-        _out_registers(q1, q1.bob_out, final_bob=True)
-        + _out_registers(q2, q2.bob_out, final_bob=True),
+        _output_regs(q1, q1.bob_out) + _output_regs(q2, q2.bob_out),
         mix_bob_out + tuple(junk_b),
     )
 
@@ -404,7 +299,6 @@ def convex_mix(p1: ProtocolSpec, p2: ProtocolSpec, prob: float) -> ProtocolSpec:
         [r.name for r in mix_alice_out],
         [r.name for r in mix_bob_out],
         slots=(slot,),
-        notes=tuple(notes),
     )
 
 
@@ -500,9 +394,7 @@ def and_embed_protocol(
     builder = _ProtocolBuilder(
         preshared, (reg_by[keep.alice_in[0]],), (reg_by[keep.bob_in[0]],)
     )
-    m = pd.num_messages
-    for i in range(1, m + 2):
-        builder.step(pd.unitaries[i - 1], pd.messages[i - 1] if i <= m else None)
+    builder.replay(pd.unitaries, pd.messages)
     return builder.build(
         pd.alice_out,
         pd.bob_out,
@@ -587,15 +479,9 @@ def and_average_protocol(
     pad_b = [fresh(f"PB{k}", db) for k in range(1, n)]
     home_a = [fresh(f"HA{j}", da) for j in range(1, 2 * n + 1)]
     home_b = [fresh(f"HB{j}", db) for j in range(1, 2 * n + 1)]
-    block = _selector_block(
-        [1.0 / n] * n,
-        s_a,
-        s_b,
-        (_zero_state(pad_a, ALICE), _zero_state(pad_b, BOB)),
-    )
-    preshared = tensor(preshared, block.selector_state)
-    for pad in block.padding:
-        preshared = tensor(preshared, pad)
+    preshared = tensor(preshared, _selector_state([1.0 / n] * n, s_a, s_b))
+    preshared = tensor(preshared, _zero_state(pad_a, ALICE))
+    preshared = tensor(preshared, _zero_state(pad_b, BOB))
 
     reg_by = {r.name: r for r in qd.alice_in + qd.bob_in}
     slot_regs_a = tuple(reg_by[s.alice_in[0] + "#D"] for s in slots)

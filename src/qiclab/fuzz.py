@@ -20,11 +20,12 @@ from .hilbert import (
     RegisterSystem,
     StateVector,
     UnitaryOp,
+    _prod,
     channel_from_kraus,
     classical_state,
     haar_random_unitary,
 )
-from .protocol import ProtocolSpec, Slot
+from .protocol import ProtocolSpec, Slot, _ProtocolBuilder
 
 
 def rng_from(seed) -> np.random.Generator:
@@ -116,73 +117,35 @@ def random_protocol(
     else:
         preshared = StateVector(RegisterSystem((), ()), np.array([1.0], complex))
 
-    alice_hold = list(alice_in) + [
-        r for r, h in zip(preshared.system.registers, preshared.system.holders) if h is ALICE
-    ]
-    bob_hold = list(bob_in) + [
-        r for r, h in zip(preshared.system.registers, preshared.system.holders) if h is BOB
-    ]
-    unitaries = []
-    messages = []
-    incoming: Register | None = None
-    alice_out = bob_out = None
-    alice_scratch = bob_scratch = None
+    builder = _ProtocolBuilder(preshared, alice_in, bob_in)
     for i in range(1, m + 2):
-        hold = alice_hold if i % 2 == 1 else bob_hold
-        in_regs = tuple(hold) + ((incoming,) if incoming is not None else ())
-        d = int(np.prod([r.dim for r in in_regs])) if in_regs else 1
+        in_regs = builder.inputs()
+        d = _prod(r.dim for r in in_regs)
         u_mat = haar_random_unitary(d, rng)
+        c = msg_dim if d % msg_dim == 0 else 1
         if i < m:
-            c = msg_dim if d % msg_dim == 0 else 1
-            mem = Register(f"M{i}", d // c)
-            msg = Register(f"C{i}", c)
-            out_regs = (mem, msg)
-            messages.append((msg.name,))
-            incoming = msg
-            new_hold = [mem]
+            out_regs = (Register(f"M{i}", d // c), Register(f"C{i}", c))
         elif i == m:
             # Bob's last unitary carries his outputs alongside the message
-            c = msg_dim if d % msg_dim == 0 else 1
             rest = d // c
             d_bout = 2 if rest % 2 == 0 else 1
-            out = Register("Bout", d_bout)
-            scr = Register("Bscr", rest // d_bout)
-            msg = Register(f"C{i}", c)
-            out_regs = (out, scr, msg)
-            messages.append((msg.name,))
-            incoming = msg
-            bob_out, bob_scratch = (out.name,), (scr.name,)
-            new_hold = [out, scr]
+            out_regs = (
+                Register("Bout", d_bout),
+                Register("Bscr", rest // d_bout),
+                Register(f"C{i}", c),
+            )
         else:
             d_out = 2 if d % 2 == 0 else 1
-            out = Register("Aout", d_out)
-            scr = Register("Ascr", d // d_out)
-            out_regs = (out, scr)
-            alice_out, alice_scratch = (out.name,), (scr.name,)
-            new_hold = [out, scr]
-        unitaries.append(UnitaryOp.dense(u_mat, in_regs, out_regs))
-        if i % 2 == 1:
-            alice_hold = new_hold
-        else:
-            bob_hold = new_hold
+            out_regs = (Register("Aout", d_out), Register("Ascr", d // d_out))
+        builder.step(
+            UnitaryOp.dense(u_mat, in_regs, out_regs), (f"C{i}",) if i <= m else None
+        )
     slots = ()
     if len(alice_in) == len(bob_in) and len(alice_in) > 1:
         slots = tuple(
             Slot((a.name,), (b.name,)) for a, b in zip(alice_in, bob_in)
         )
-    return ProtocolSpec(
-        num_messages=m,
-        preshared=preshared,
-        unitaries=tuple(unitaries),
-        alice_in=alice_in,
-        bob_in=bob_in,
-        messages=tuple(messages),
-        alice_out=alice_out,
-        bob_out=bob_out,
-        alice_scratch=alice_scratch,
-        bob_scratch=bob_scratch,
-        slots=slots,
-    )
+    return builder.build(("Aout",), ("Bout",), slots)
 
 
 def random_input_density(p: ProtocolSpec, seed, *, classical: bool = False, rank: int | None = None) -> DensityOperator:

@@ -36,6 +36,7 @@ from .hilbert import (
     _rename,
     apply_unitary,
     canonical_purification,
+    chain_unitaries,
     purify,
     reduced_density,
     tensor,
@@ -81,7 +82,6 @@ class ProtocolSpec:
     alice_scratch: tuple[str, ...] = ()
     bob_scratch: tuple[str, ...] = ()
     slots: tuple[Slot, ...] = ()
-    notes: tuple[str, ...] = ()
 
     @property
     def input_names(self) -> tuple[str, ...]:
@@ -213,6 +213,103 @@ def _require_valid(p: ProtocolSpec) -> None:
 
 def _fmt(d: Mapping[str, int]) -> str:
     return "{" + ", ".join(f"{k}:{v}" for k, v in sorted(d.items())) + "}"
+
+
+class _ProtocolBuilder:
+    """The one constructor of protocol schedules.
+
+    Walks the alternating schedule, tracking what each party holds, and
+    extends each step's unitary with pass-through registers so it formally
+    covers the speaker's whole holding plus the incoming message.
+    """
+
+    def __init__(
+        self,
+        preshared: StateVector,
+        alice_in: Sequence[Register],
+        bob_in: Sequence[Register],
+    ):
+        self.preshared = preshared
+        self.alice_in = tuple(alice_in)
+        self.bob_in = tuple(bob_in)
+        self.alice_hold: dict[str, Register] = {r.name: r for r in alice_in}
+        self.bob_hold: dict[str, Register] = {r.name: r for r in bob_in}
+        for r, h in zip(preshared.system.registers, preshared.system.holders):
+            (self.alice_hold if h is ALICE else self.bob_hold)[r.name] = r
+        self.incoming: dict[str, Register] = {}
+        self.unitaries: list[UnitaryOp] = []
+        self.messages: list[tuple[str, ...]] = []
+
+    def inputs(self) -> tuple[Register, ...]:
+        """The next step's inputs: the speaker's holding, then the incoming message."""
+        hold = self.alice_hold if len(self.unitaries) % 2 == 0 else self.bob_hold
+        return tuple(hold.values()) + tuple(self.incoming.values())
+
+    def step(self, core: UnitaryOp, message: Sequence[str] | None) -> None:
+        """Append the next unitary; ``message`` names the block it sends,
+        ``None`` for the closing unitary."""
+        i = len(self.unitaries) + 1
+        expected = {r.name: r for r in self.inputs()}
+        consumed = set(core.in_names)
+        stray = consumed - set(expected)
+        if stray:
+            raise ValueError(
+                f"step {i}: unitary consumes registers the speaker does not "
+                f"hold: {sorted(stray)}"
+            )
+        missing = tuple(r for n, r in expected.items() if n not in consumed)
+        u = core.extended(missing)
+        out_regs = {r.name: r for r in u.out_regs}
+        msg = tuple(message) if message is not None else ()
+        new_hold = {n: r for n, r in out_regs.items() if n not in msg}
+        if i % 2 == 1:
+            self.alice_hold = new_hold
+        else:
+            self.bob_hold = new_hold
+        self.incoming = {n: out_regs[n] for n in msg}
+        self.unitaries.append(u)
+        if message is not None:
+            self.messages.append(msg)
+
+    def replay(
+        self, unitaries: Sequence[UnitaryOp], messages: Sequence[tuple[str, ...]]
+    ) -> None:
+        """Step through ``unitaries`` in order, each sending its entry of
+        ``messages``; a unitary past the end of ``messages`` sends none."""
+        for k, u in enumerate(unitaries):
+            self.step(u, messages[k] if k < len(messages) else None)
+
+    def build(
+        self,
+        alice_out: Sequence[str],
+        bob_out: Sequence[str],
+        slots: Sequence[Slot] = (),
+    ) -> ProtocolSpec:
+        p = ProtocolSpec(
+            num_messages=len(self.messages),
+            preshared=self.preshared,
+            unitaries=tuple(self.unitaries),
+            alice_in=self.alice_in,
+            bob_in=self.bob_in,
+            messages=tuple(self.messages),
+            alice_out=tuple(alice_out),
+            bob_out=tuple(bob_out),
+            alice_scratch=tuple(n for n in self.alice_hold if n not in set(alice_out)),
+            bob_scratch=tuple(n for n in self.bob_hold if n not in set(bob_out)),
+            slots=tuple(slots),
+        )
+        _require_valid(p)
+        return p
+
+
+def _output_regs(p: ProtocolSpec, names: Sequence[str]) -> tuple[Register, ...]:
+    """Output registers, with their dims, as the two closing unitaries emit them.
+
+    Bob's outputs come from U_M and Alice's from U_{M+1}; on a valid
+    protocol U_{M+1} emits no name Bob still holds.
+    """
+    dims = {r.name: r.dim for u in p.unitaries[-2:] for r in u.out_regs}
+    return tuple(Register(n, dims[n]) for n in names)
 
 
 @dataclass(frozen=True)
@@ -428,10 +525,7 @@ def protocol_error(
         )
     pure = _prepare_input(p, task.input)
     refs = [n for n in pure.system.names if n not in set(in_names)]
-    traj = run(p, pure, max_dim=max_dim)
-    out1 = reduced_density(
-        traj.final_state, list(p.alice_out) + list(p.bob_out) + refs
-    )
+    out1 = run(p, pure, max_dim=max_dim).output
     vec2, ch2 = ch.apply_to_vector(pure)
     out2 = reduced_density(vec2, list(ch2.out_names) + refs)
     if out1.system.dims != out2.system.dims:
@@ -536,58 +630,19 @@ def pad_rounds(p: ProtocolSpec, rounds: int = 2) -> ProtocolSpec:
     if rounds <= 0 or rounds % 2 != 0:
         raise ValueError("rounds must be a positive even integer")
     _require_valid(p)
+    m = p.num_messages
+    builder = _ProtocolBuilder(p.preshared, p.alice_in, p.bob_in)
+    builder.replay(p.unitaries[:m], p.messages)
     taken = set(p.all_names)
-    pads = []
+    # every step sends a fresh dimension-1 block: U_{M+1} the first, and
+    # each later step after dropping the block it received
+    receive = p.unitaries[m]
     for k in range(rounds):
         name = _fresh_name(f"Cpad{k + 1}", taken)
         taken.add(name)
-        pads.append(name)
-
-    def create(name: str) -> Stage:
-        return Stage(np.eye(1), (), (Register(name, 1),))
-
-    def drop(name: str) -> Stage:
-        return Stage(np.eye(1), (name,), ())
-
-    m = p.num_messages
-    alice_final = p.unitaries[m]  # U_{M+1}
-    bob_regs = tuple(
-        Register(n, {r.name: r.dim for r in p.unitaries[m - 1].out_regs}[n])
-        for n in list(p.bob_out) + list(p.bob_scratch)
-    )
-    alice_regs = tuple(
-        Register(n, {r.name: r.dim for r in alice_final.out_regs}[n])
-        for n in list(p.alice_out) + list(p.alice_scratch)
-    )
-    unitaries = list(p.unitaries[:m])
-    messages = list(p.messages)
-    prev = None
-    for k, cname in enumerate(pads):
-        creg = Register(cname, 1)
-        if k == 0:
-            u = UnitaryOp(
-                alice_final.in_regs,
-                alice_final.out_regs + (creg,),
-                alice_final.stages + (create(cname),),
-            )
-        else:
-            mine = alice_regs if k % 2 == 0 else bob_regs
-            prev_reg = Register(prev, 1)
-            u = UnitaryOp(
-                mine + (prev_reg,),
-                mine + (creg,),
-                (drop(prev), create(cname)),
-            )
-        unitaries.append(u)
-        messages.append((cname,))
-        prev = cname
-    closer_side = alice_regs if rounds % 2 == 0 else bob_regs
-    unitaries.append(
-        UnitaryOp(closer_side + (Register(prev, 1),), closer_side, (drop(prev),))
-    )
-    return replace(
-        p,
-        num_messages=m + rounds,
-        unitaries=tuple(unitaries),
-        messages=tuple(messages),
-    )
+        pad = Register(name, 1)
+        send = UnitaryOp((), (pad,), (Stage(np.eye(1), (), (pad,)),))
+        builder.step(chain_unitaries(receive, send), (name,))
+        receive = UnitaryOp((pad,), (), (Stage(np.eye(1), (name,), ()),))
+    builder.step(receive, None)
+    return builder.build(p.alice_out, p.bob_out, p.slots)

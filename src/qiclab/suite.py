@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import time
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -48,6 +48,7 @@ from .measures import (
 from .protocol import (
     ProtocolSpec,
     QuantumTask,
+    _output_regs,
     pad_rounds,
     protocol_error,
     qcc,
@@ -515,28 +516,21 @@ def _check_error_invariance(rng, tol):
 
 
 def _rotate_protocol_outputs(p: ProtocolSpec, ua: np.ndarray, ub: np.ndarray) -> ProtocolSpec:
-    u_last_b = p.unitaries[p.num_messages - 1]
-    u_last_a = p.unitaries[p.num_messages]
-    dims_b = {r.name: r.dim for r in u_last_b.out_regs}
-    dims_a = {r.name: r.dim for r in u_last_a.out_regs}
-    b_name = p.bob_out[0]
-    a_name = p.alice_out[0]
+    (a_reg,) = _output_regs(p, p.alice_out[:1])
+    (b_reg,) = _output_regs(p, p.bob_out[:1])
+    m = p.num_messages
+    u_last_b, u_last_a = p.unitaries[m - 1], p.unitaries[m]
     new_b = UnitaryOp(
         u_last_b.in_regs,
         u_last_b.out_regs,
-        u_last_b.stages + (Stage(ub, (b_name,), (Register(b_name, dims_b[b_name]),)),),
+        u_last_b.stages + (Stage(ub, (b_reg.name,), (b_reg,)),),
     )
     new_a = UnitaryOp(
         u_last_a.in_regs,
         u_last_a.out_regs,
-        u_last_a.stages + (Stage(ua, (a_name,), (Register(a_name, dims_a[a_name]),)),),
+        u_last_a.stages + (Stage(ua, (a_reg.name,), (a_reg,)),),
     )
-    unitaries = list(p.unitaries)
-    unitaries[p.num_messages - 1] = new_b
-    unitaries[p.num_messages] = new_a
-    from dataclasses import replace
-
-    return replace(p, unitaries=tuple(unitaries))
+    return replace(p, unitaries=p.unitaries[: m - 1] + (new_b, new_a))
 
 
 def _rotate_channel_outputs(ch: ChannelOp, ua: np.ndarray, ub: np.ndarray) -> ChannelOp:
@@ -629,25 +623,12 @@ def _check_mixture_channel(rng, tol):
         mix = convex_mix(p1, p2, prob)
         probe = fuzz.random_input_density(p1, rng)
         pp = purify_input(probe, "Rprobe")
-        o_mix = _channel_output(mix, pp)
-        o1 = _channel_output(p1, pp)
-        o2 = _channel_output(p2, pp)
+        o_mix = run(mix, pp).output.matrix
+        o1 = run(p1, pp).output.matrix
+        o2 = run(p2, pp).output.matrix
         blend = prob * o1 + (1.0 - prob) * o2
         worst.add(trace_norm(o_mix - blend), 0.0, f"prob={prob}")
     return worst.result()
-
-
-def _channel_output(p: ProtocolSpec, pure_input: StateVector) -> np.ndarray:
-    refs = [
-        n
-        for n in pure_input.system.names
-        if n not in {r.name for r in p.alice_in + p.bob_in}
-    ]
-    traj = run(p, pure_input)
-    out = reduced_density(
-        traj.final_state, list(p.alice_out) + list(p.bob_out) + refs
-    )
-    return out.matrix
 
 
 @_register(
@@ -815,7 +796,7 @@ def _check_average_channel(rng, tol):
             w, [(pa.alice_in[0].name, 2, ALICE), (pa.bob_in[0].name, 2, BOB)]
         )
         pp = canonical_purification(probe, "Rprobe")
-        o_avg = _channel_output(pa, pp)
+        o_avg = run(pa, pp).output.matrix
         mats = []
         for e in embeds:
             probe_e = rename_state(
@@ -825,7 +806,7 @@ def _check_average_channel(rng, tol):
                     pa.bob_in[0].name: e.bob_in[0].name,
                 },
             )
-            mats.append(_channel_output(e, probe_e))
+            mats.append(run(e, probe_e).output.matrix)
         blend = 0.5 * (mats[0] + mats[1])
         worst.add(trace_norm(o_avg - blend), 0.0, f"probe {k}")
     return worst.result()

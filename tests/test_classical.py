@@ -71,8 +71,10 @@ class TestFunctionChannel:
     def test_partial_table_rejected(self):
         from qiclab import ClassicalFunctionPair
 
-        with pytest.raises(ValueError):
-            ClassicalFunctionPair(np.array([[0, 2], [0, 1]]), np.zeros((2, 2), dtype=int), 2, 2)
+        # out of range; fractional (a cast would truncate 1.9 to 1); NaN
+        for f_a in ([[0, 2], [0, 1]], [[0, 0], [0, 1.9]], [[0, 0], [0, np.nan]]):
+            with pytest.raises(ValueError):
+                ClassicalFunctionPair(np.array(f_a), np.zeros((2, 2), dtype=int), 2, 2)
 
     def test_measured_output_form(self):
         # channel + canonical purification -> averaged basis outputs tagged by

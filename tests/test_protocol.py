@@ -14,10 +14,12 @@ from qiclab import (
     QuantumTask,
     Register,
     RegisterSystem,
+    Slot,
     Stage,
     StateVector,
     UnitaryOp,
     channel_from_kraus,
+    haar_random_unitary,
     classical_state,
     nfold_error_check,
     pad_rounds,
@@ -283,9 +285,15 @@ class TestQic:
             assert -1e-8 <= q <= qcc(p) + 1e-8
 
     def test_padding_rounds_are_free(self):
-        p = random_protocol(12, 2)
-        rho = random_input_density(p, 13)
-        assert abs(qic(pad_rounds(p), rho) - qic(p, rho)) < 1e-9
+        for num_messages in (2, 4, 6):
+            p = random_protocol(12, num_messages)
+            rho = random_input_density(p, 13)
+            for rounds in (2, 4):
+                padded = pad_rounds(p, rounds)
+                assert validate(padded) == []
+                assert padded.num_messages == num_messages + rounds
+                assert qcc(padded) == qcc(p)
+                assert abs(qic(padded, rho) - qic(p, rho)) < 1e-9, (num_messages, rounds)
 
     def test_pass_through_message_register(self):
         # a protocol may send a register without applying any gate to it;
@@ -492,3 +500,113 @@ class TestRenameAndInputs:
         )
         joint = tensor(rho1, rho2)
         assert abs(qic(p, joint) - 2.0) < 1e-8
+
+
+def _hand_walk_random_protocol(
+    seed,
+    num_messages,
+    *,
+    alice_in_dims=(2,),
+    bob_in_dims=(2,),
+    preshared_dims=(2, 2),
+    msg_dim=2,
+):
+    """Reference: ``random_protocol`` with its holdings tracked by hand."""
+    rng = np.random.default_rng(seed)
+    m = num_messages
+    alice_in = tuple(Register(f"Xa{k+1}", d) for k, d in enumerate(alice_in_dims))
+    bob_in = tuple(Register(f"Yb{k+1}", d) for k, d in enumerate(bob_in_dims))
+    ta, tb = preshared_dims
+    pres_specs = []
+    if ta > 1:
+        pres_specs.append(("TA", ta, ALICE))
+    if tb > 1:
+        pres_specs.append(("TB", tb, BOB))
+    if pres_specs:
+        preshared = random_state_vector(pres_specs, rng)
+    else:
+        preshared = StateVector(RegisterSystem((), ()), np.array([1.0], complex))
+
+    alice_hold = list(alice_in) + [
+        r for r, h in zip(preshared.system.registers, preshared.system.holders) if h is ALICE
+    ]
+    bob_hold = list(bob_in) + [
+        r for r, h in zip(preshared.system.registers, preshared.system.holders) if h is BOB
+    ]
+    unitaries = []
+    messages = []
+    incoming = None
+    alice_out = bob_out = None
+    alice_scratch = bob_scratch = None
+    for i in range(1, m + 2):
+        hold = alice_hold if i % 2 == 1 else bob_hold
+        in_regs = tuple(hold) + ((incoming,) if incoming is not None else ())
+        d = int(np.prod([r.dim for r in in_regs])) if in_regs else 1
+        u_mat = haar_random_unitary(d, rng)
+        if i < m:
+            c = msg_dim if d % msg_dim == 0 else 1
+            mem = Register(f"M{i}", d // c)
+            msg = Register(f"C{i}", c)
+            out_regs = (mem, msg)
+            messages.append((msg.name,))
+            incoming = msg
+            new_hold = [mem]
+        elif i == m:
+            c = msg_dim if d % msg_dim == 0 else 1
+            rest = d // c
+            d_bout = 2 if rest % 2 == 0 else 1
+            out = Register("Bout", d_bout)
+            scr = Register("Bscr", rest // d_bout)
+            msg = Register(f"C{i}", c)
+            out_regs = (out, scr, msg)
+            messages.append((msg.name,))
+            incoming = msg
+            bob_out, bob_scratch = (out.name,), (scr.name,)
+            new_hold = [out, scr]
+        else:
+            d_out = 2 if d % 2 == 0 else 1
+            out = Register("Aout", d_out)
+            scr = Register("Ascr", d // d_out)
+            out_regs = (out, scr)
+            alice_out, alice_scratch = (out.name,), (scr.name,)
+            new_hold = [out, scr]
+        unitaries.append(UnitaryOp.dense(u_mat, in_regs, out_regs))
+        if i % 2 == 1:
+            alice_hold = new_hold
+        else:
+            bob_hold = new_hold
+    slots = ()
+    if len(alice_in) == len(bob_in) and len(alice_in) > 1:
+        slots = tuple(Slot((a.name,), (b.name,)) for a, b in zip(alice_in, bob_in))
+    return ProtocolSpec(
+        num_messages=m,
+        preshared=preshared,
+        unitaries=tuple(unitaries),
+        alice_in=alice_in,
+        bob_in=bob_in,
+        messages=tuple(messages),
+        alice_out=alice_out,
+        bob_out=bob_out,
+        alice_scratch=alice_scratch,
+        bob_scratch=bob_scratch,
+        slots=slots,
+    )
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        {},
+        {"alice_in_dims": (2, 2), "bob_in_dims": (2, 2), "preshared_dims": (1, 1)},
+        {"alice_in_dims": (4,), "bob_in_dims": (4,), "preshared_dims": (4, 4)},
+        {"msg_dim": 3},
+    ],
+    ids=["default", "two-slot", "rates-files", "msg-dim-3"],
+)
+def test_random_protocol_matches_the_hand_walk(shape):
+    # random_protocol builds its schedule through the shared builder; the
+    # hand walk it replaced is the reference, entry for entry
+    for seed in range(30):
+        for m in (2, 4, 6):
+            want = protocol_to_obj(_hand_walk_random_protocol(seed, m, **shape))
+            assert protocol_to_obj(random_protocol(seed, m, **shape)) == want, (seed, m)

@@ -3,6 +3,7 @@
 import math
 import pickle
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,8 +17,11 @@ from qiclab import (
     RegisterSystem,
     StateVector,
     and_average_protocol,
+    and_pair,
     canonical_purification,
     classical_state,
+    failure_probability,
+    noisy_protocol_for,
     qic_terms,
     reduced_density,
     run,
@@ -131,6 +135,25 @@ class TestIndexGuards:
         assert big.system.total_dim == 2 ** 52
         with pytest.raises(ValueError, match="DEFAULT_MAX_DIM"):
             big.amplitudes
+
+
+def test_failure_probability_above_max_dim_reads_the_output():
+    # an idle |0> register of dim 2^25 at Bob makes the final state 2^31
+    # amplitudes in support form; the marginal comes from the channel
+    # output, never from the dense final state
+    fp = and_pair()
+    p = noisy_protocol_for(fp, 0.3)
+    idle = _point("Idle", 2 ** 25, 0).with_holders({"Idle": BOB})
+    u1, u2, u3 = p.unitaries
+    big = replace(
+        p,
+        preshared=tensor(p.preshared, idle),
+        unitaries=(u1, u2.extended(idle.system.registers), u3),
+        bob_scratch=p.bob_scratch + ("Idle",),
+    )
+    mu = np.array([[0.4, 0.3], [0.2, 0.1]])
+    got = failure_probability(big, fp, mu, max_dim=2 ** 32)
+    assert abs(got - failure_probability(p, fp, mu)) < 1e-12
 
 
 def _run_in_form(p, inp, ratio):
