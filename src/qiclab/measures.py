@@ -25,6 +25,7 @@ from .hilbert import (
     DensityOperator,
     StateValidationError,
     StateVector,
+    _eigvalsh,
     _prod,
     _support_matrix,
     reduced_density,
@@ -52,8 +53,8 @@ def _entropy_from_spectrum(w: np.ndarray, tol: float = TOL_PSD) -> tuple[float, 
     lo = float(w.min()) if w.size else 0.0
     if lo < -tol:
         raise StateValidationError(f"eigenvalue {lo} below -{tol}: state invalid")
-    w = np.clip(w, 0.0, None)
-    h = float(-np.sum(xlogy(w, w)) / LOG2)
+    w = np.maximum(w, 0.0)
+    h = float(-xlogy(w, w).sum() / LOG2)
     positive = w[w > 0]
     floor = float(positive.min()) if positive.size else 0.0
     return max(h, 0.0), floor
@@ -73,20 +74,21 @@ def _pure_subsystem_spectrum(state: StateVector, subsystem: Sequence[str]) -> np
     eigenvalue), which the clamp in :func:`_entropy_from_spectrum` absorbs.
     """
     system = state.system
-    subsystem = list(subsystem)
-    comp = system.complement(subsystem)
-    d_sub = _prod(system.register(n).dim for n in subsystem)
-    d_comp = system.total_dim // d_sub
-    side = subsystem if d_sub <= d_comp else list(comp)
+    side = system.positions(subsystem)
+    dims = system.dims
+    # the subsystem unless its dimension exceeds the complement's
+    if _prod(dims[i] for i in side) ** 2 > system.total_dim:
+        taken = set(side)
+        side = [i for i in range(len(dims)) if i not in taken]
     if not side:
         return np.array([1.0])
-    m = _support_matrix(state._data(), system.positions(side))[2]
+    m = _support_matrix(state._data(), side)[2]
     # herk on the Fortran-ordered view m.T forms the conjugate of m m^dagger
     # (trans=2) or of m^dagger m (trans=0), whichever is smaller, without
     # copying a C-ordered m; only the upper triangle is filled
     trans = 2 if m.shape[0] <= m.shape[1] else 0
     gram = zherk(1.0, m.T, trans=trans)
-    return np.linalg.eigvalsh(gram, UPLO="U")
+    return _eigvalsh(gram, lower=0, overwrite=True)
 
 
 def _subsystem_spectrum(state, subsystem: Sequence[str]) -> np.ndarray:
@@ -98,7 +100,7 @@ def _subsystem_spectrum(state, subsystem: Sequence[str]) -> np.ndarray:
             rho = state
         else:
             rho = reduced_density(state, subsystem)
-        return np.linalg.eigvalsh(rho.matrix)
+        return _eigvalsh(rho.matrix)
     raise TypeError(f"cannot take entropy of {type(state).__name__}")
 
 
@@ -164,7 +166,7 @@ def _aligned_matrix(state, subsystem: Sequence[str]) -> np.ndarray:
 
 def trace_norm(delta: np.ndarray) -> float:
     """Sum of absolute eigenvalues of a Hermitian matrix."""
-    return float(np.sum(np.abs(np.linalg.eigvalsh(delta))))
+    return float(np.abs(_eigvalsh(delta)).sum())
 
 
 def trace_distance(state1, state2, subsystem: Sequence[str] | None = None) -> float:

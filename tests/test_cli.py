@@ -350,6 +350,14 @@ def test_any_bad_numeric_leaf_exits_2_with_one_error_line(valid_files, name, dat
     for key in path[:-1]:
         target = target[key]
     target[path[-1]] = value
+    code, err = _run_on(valid_files, name, obj)
+    assert code == 2, (path, value)
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _run_on(valid_files, name, obj):
+    """Write ``obj`` as a bad copy of file ``name`` and run the CLI command
+    that reads it; returns the exit code and standard error."""
     bad = valid_files / f"bad_{name}"
     bad.write_text(json.dumps(obj))
     f = {n: str(valid_files / n) for n in ("proto.json", "state.json", "mu.json", "exact.json")}
@@ -363,5 +371,62 @@ def test_any_bad_numeric_leaf_exits_2_with_one_error_line(valid_files, name, dat
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(argv)
-    assert code == 2, (path, value)
-    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    return code, err.getvalue()
+
+
+def _numeric(x):
+    return isinstance(x, (int, float)) or (isinstance(x, list) and all(map(_numeric, x)))
+
+
+def _structural_mutations(obj, path=()):
+    """Every key drop, list/object swap and wrong-typed string leaf of ``obj``.
+
+    A numeric array (amplitudes, a matrix, kernels) is swapped whole; its
+    leaves are the numeric-leaf test's domain.
+    """
+    if isinstance(obj, str):
+        yield ("retype", path)
+    elif isinstance(obj, (dict, list)):
+        yield ("swap", path)
+        if isinstance(obj, dict):
+            for k in obj:
+                yield ("drop", (*path, k))
+        if not _numeric(obj):
+            for k, v in obj.items() if isinstance(obj, dict) else enumerate(obj):
+                yield from _structural_mutations(v, (*path, k))
+
+
+# keys a file may omit: a missing holder reads as reference, a missing
+# ``classical`` as false and missing ``slots`` as none
+OPTIONAL_KEYS = ("slots", "classical", "holder")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(["state.json", "pure4.json", "proto.json", "cp.json", "and.json"]),
+    st.data(),
+    st.sampled_from([5, None, True, ["x"], {"x": 1}]),
+)
+def test_any_structural_mutation_exits_2_with_one_error_line(valid_files, name, data, value):
+    obj = json.loads((valid_files / name).read_text())
+    kind, path = data.draw(st.sampled_from(list(_structural_mutations(obj))))
+    if not path:
+        obj = list(obj.values())
+    else:
+        target = obj
+        for key in path[:-1]:
+            target = target[key]
+        node = target[path[-1]]
+        if kind == "drop":
+            del target[path[-1]]
+        elif kind == "retype":
+            target[path[-1]] = value
+        elif isinstance(node, dict):
+            target[path[-1]] = list(node.values())
+        else:
+            target[path[-1]] = {str(i): x for i, x in enumerate(node)}
+    code, err = _run_on(valid_files, name, obj)
+    if kind == "drop" and path[-1] in OPTIONAL_KEYS and code == 0:
+        return
+    assert code == 2, (kind, path, value)
+    assert err.startswith("error: ") and err.count("\n") == 1

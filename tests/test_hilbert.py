@@ -1,6 +1,8 @@
 """Register algebra: tensor structure, reductions, purifications, dilations."""
 
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -597,3 +599,59 @@ class TestChannelStructure:
         st = tensor(ket("0", ["a"]), ket("1", ["spect"]))
         out = ch.apply(st)
         assert set(out.system.names) == {"a", "spect"}
+
+
+class TestRegisterSystemCache:
+    """names, dims, total_dim and the name -> position map are cached per instance."""
+
+    def _system(self):
+        return RegisterSystem.make([("a", 2, ALICE), ("b", 3, BOB), ("c", 5, REFERENCE)])
+
+    def _assert_lookups(self, sys_, names, dims):
+        assert sys_.names == names
+        assert sys_.dims == dims
+        assert sys_.total_dim == math.prod(dims)
+        assert [sys_.index(n) for n in names] == list(range(len(names)))
+        assert sys_.positions(names[::-1]) == list(range(len(names)))[::-1]
+
+    def test_unknown_name_message(self):
+        sys_ = self._system()
+        sys_.index("a")  # fill the cache first
+        with pytest.raises(KeyError) as err:
+            sys_.index("z")
+        assert err.value.args[0] == "unknown register 'z'; have ('a', 'b', 'c')"
+        with pytest.raises(KeyError, match="unknown register"):
+            sys_.register(["a"])
+
+    def test_derived_systems_get_fresh_lookups(self):
+        sys_ = self._system()
+        self._assert_lookups(sys_, ("a", "b", "c"), (2, 3, 5))
+        renamed = sys_.renamed({"a": "x", "c": "a"})
+        self._assert_lookups(renamed, ("x", "b", "a"), (2, 3, 5))
+        assert renamed.register("a") == Register("a", 5)
+        with pytest.raises(KeyError):
+            renamed.index("c")
+        held = sys_.with_holders({"b": REFERENCE})
+        self._assert_lookups(held, ("a", "b", "c"), (2, 3, 5))
+        assert held.holder_of("b") is REFERENCE
+        sub = sys_.subsystem(["c", "a"])
+        self._assert_lookups(sub, ("c", "a"), (5, 2))
+        with pytest.raises(KeyError):
+            sub.index("b")
+        replaced = dataclasses.replace(sys_, registers=(Register("q", 7),) + sys_.registers[1:])
+        self._assert_lookups(replaced, ("q", "b", "c"), (7, 3, 5))
+        with pytest.raises(KeyError):
+            replaced.index("a")
+        # the source keeps its own lookups
+        self._assert_lookups(sys_, ("a", "b", "c"), (2, 3, 5))
+
+    def test_equality_hash_and_pickle_ignore_the_cache(self):
+        warm, cold = self._system(), self._system()
+        warm.index("c")
+        assert "_index" in vars(warm) and "_index" not in vars(cold)
+        assert warm == cold and hash(warm) == hash(cold)
+        back = pickle.loads(pickle.dumps(warm))
+        assert back == cold and hash(back) == hash(cold)
+        self._assert_lookups(back, ("a", "b", "c"), (2, 3, 5))
+        fresh = pickle.loads(pickle.dumps(cold))
+        self._assert_lookups(fresh, ("a", "b", "c"), (2, 3, 5))

@@ -25,8 +25,9 @@ from qiclab import (
     tensor,
     trace_distance,
 )
+from qiclab import hilbert, measures
 from qiclab.fuzz import random_density_operator, random_state_vector
-from qiclab.measures import _entropy_from_spectrum
+from qiclab.measures import _entropy_from_spectrum, trace_norm
 
 
 def ghz():
@@ -201,16 +202,16 @@ def _support_side(st, keep):
 
 
 def _gram_sides(monkeypatch):
-    """Record the side of every matrix handed to ``np.linalg.eigvalsh``."""
+    """Record the side of every matrix handed to the eigenvalue kernel."""
     sides = []
-    eigvalsh = np.linalg.eigvalsh
+    eigvalsh = measures._eigvalsh
 
     def spy(a, *args, **kwargs):
         assert a.shape[0] == a.shape[1]
         sides.append(a.shape[0])
         return eigvalsh(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    monkeypatch.setattr(measures, "_eigvalsh", spy)
     return sides
 
 
@@ -335,3 +336,50 @@ class TestGramKernel:
         assert sides == [3]
         assert abs(rep.value - _svd_entropy(st, ["A"])) < 1e-10
         assert rep.spectrum_floor == pytest.approx(1e-300, rel=1e-12)
+
+
+class TestEigenvalueKernel:
+    """The one LAPACK ``zheevd`` call behind every eigenvalue-only spectrum."""
+
+    def test_nonzero_info_raises(self, monkeypatch):
+        def failing(a, **kwargs):
+            return np.zeros(a.shape[0]), a, 1
+
+        monkeypatch.setattr(hilbert, "zheevd", failing)
+        with pytest.raises(np.linalg.LinAlgError):
+            entropy(bell(), ["A"])
+        with pytest.raises(np.linalg.LinAlgError):
+            entropy(random_density_operator([("a", 3, ALICE)], 2, 1))
+
+    def test_workspace_is_at_least_the_queried_size(self, monkeypatch):
+        # the minimal default workspace forces an unblocked reduction that
+        # runs about twice as slow as numpy on sides in the hundreds
+        seen = []
+        zheevd = hilbert.zheevd
+
+        def spy(a, **kwargs):
+            queried = hilbert.zheevd_lwork(a.shape[0], compute_v=0, lower=kwargs["lower"])
+            seen.append((a.shape[0], kwargs["lwork"], int(queried[0].real)))
+            return zheevd(a, **kwargs)
+
+        monkeypatch.setattr(hilbert, "zheevd", spy)
+        rng = np.random.default_rng(7)
+        for side in (1, 2, 3, 4, 17, 64, 144, 324, 576):
+            m = rng.standard_normal((side, side + 1)) + 1j * rng.standard_normal((side, side + 1))
+            st = StateVector(
+                RegisterSystem.make([("a", side, ALICE), ("b", side + 1, BOB)]),
+                (m / np.linalg.norm(m)).reshape(-1),
+            )
+            entropy(st, ["a"])
+        assert [n for n, _, _ in seen] == [1, 2, 3, 4, 17, 64, 144, 324, 576]
+        assert all(lwork >= queried for _, lwork, queried in seen)
+
+    def test_trace_norm_leaves_a_fortran_argument_unchanged(self):
+        rng = np.random.default_rng(3)
+        z = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        delta = np.asfortranarray(z + z.conj().T)
+        before = delta.copy()
+        assert delta.flags.writeable and delta.flags.f_contiguous
+        value = trace_norm(delta)
+        np.testing.assert_array_equal(delta, before)
+        assert value == pytest.approx(np.abs(np.linalg.eigvalsh(before)).sum(), abs=1e-12)

@@ -9,6 +9,7 @@ from qiclab import (
     ALICE,
     BOB,
     REFERENCE,
+    DensityOperator,
     ProtocolSpec,
     ProtocolValidationError,
     QuantumTask,
@@ -348,6 +349,42 @@ class TestQic:
         via_spectral = qic(p, purify(rho, "R"))
         via_canonical = qic(p, canonical_purification(rho, "R"))
         assert abs(via_spectral - via_canonical) < 1e-9
+
+    def test_cost_is_continuous_across_the_purification_cut(self):
+        """QIC barely moves when an input eigenvalue crosses purify's 1e-9 cut.
+
+        At eps = 0.99e-9 purify drops the eigenvalue and renormalizes, so
+        the cost is that of rho_rest, the input without it. At 1.01e-9 it
+        is kept: the input is rho_hi = (1 - eps) rho_rest + eps |v><v|,
+        and 1/2 ||rho_hi - rho_rest||_1 = eps. Each message term is half
+        of I(C;R|B) = H(C|B) + H(C|A) on the global pure state, A the
+        sender's other registers, so both conditional entropies live on
+        marginals without the reference. Those are images of the input
+        under the protocol's unitaries and a partial trace, and trace
+        distance only shrinks under those. By Alicki-Fannes-Winter each
+        conditional entropy moves by at most
+        2 eps log d_C + (1 + eps) h(eps / (1 + eps)), so each term by at
+        most that and QIC by at most the sum over messages: about 6.5e-8
+        per message here, against errors near 1e-12 in the eigen solver.
+        """
+        p = random_protocol(4, 4)
+        rho = random_input_density(p, 5)
+        w, v = np.linalg.eigh(rho.matrix)
+        w[0] = 0.0
+        rest = (v * (w / w.sum())) @ v.conj().T
+
+        def cost(eps):
+            mixed = (1 - eps) * rest + eps * np.outer(v[:, 0], v[:, 0].conj())
+            return qic(p, DensityOperator(rho.system, mixed))
+
+        lo, hi = cost(0.99e-9), cost(1.01e-9)
+        assert lo == pytest.approx(qic(p, DensityOperator(rho.system, rest)), abs=1e-12)
+        # sum over messages of 2 eps log2 d_C is 2 eps qcc
+        eps, x = 1.01e-9, 1.01e-9 / (1 + 1.01e-9)
+        h = -x * math.log2(x) - (1 - x) * math.log2(1 - x)
+        bound = 2 * eps * qcc(p) + p.num_messages * (1 + eps) * h
+        assert bound < 3e-7
+        assert 0 < abs(hi - lo) <= bound + 1e-12
 
 
 class TestProtocolError:
