@@ -72,6 +72,20 @@ def _pure_subsystem_spectrum(state: StateVector, subsystem: Sequence[str]) -> np
     M^dagger M, which share their nonzero spectrum. Squaring costs
     absolute precision near zero only (about machine epsilon per
     eigenvalue), which the clamp in :func:`_entropy_from_spectrum` absorbs.
+
+    Error bound, to first order in eps (machine epsilon, unit roundoff
+    eps/2). Let M be n x k on the Gram side n <= k, with ||M||_F = 1. zherk
+    forms each Gram entry as a length-k inner product, so it adds F with
+    ||F||_2 <= ||F||_F <= k (eps/2) ||M||_F^2. zheevd returns the exact
+    spectrum of the computed Gram matrix plus E, ||E||_2 <= p(n) (eps/2)
+    ||G||_2 with ||G||_2 <= 1, taking LAPACK's modestly growing p(n) as n
+    (Householder tridiagonalization, then divide and conquer). By Weyl
+    each eigenvalue moves by at most (k + n) eps/2; the clamp to zero
+    only moves it back toward the true value, which is >= 0. Over n
+    eigenvalues the spectra are T <= n (k + n) eps/4 = c n^2 eps apart
+    in trace distance, c = (1 + k/n)/4, and by Fannes-Audenaert
+    |dH| <= T log2(n - 1) + h2(T). A Schmidt-form state cut to its
+    support has k = n, so c = 1/2: 2.3e-14 bits at n = 2, 5.4e-10 at 324.
     """
     system = state.system
     side = system.positions(subsystem)

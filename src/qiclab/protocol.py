@@ -14,6 +14,7 @@ message block and emitting the next message block. Costs:
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, replace
 from typing import Mapping, NamedTuple, Sequence
 
@@ -455,6 +456,10 @@ class MessageEntropies(NamedTuple):
         return 0.5 * (self.h_cb + self.h_rb - self.h_b - self.h_crb)
 
 
+# the last ledger: (weakref to p, weakref to the input, max_dim, rows)
+_last_ledger = None
+
+
 def message_entropies(
     p: ProtocolSpec,
     input_state,
@@ -470,7 +475,17 @@ def message_entropies(
     on the complement alone. The receiver of message i+1 holds what the
     sender of message i kept, so after the first message H(B) and H(RB)
     are the entries of H(CRB) and H(CB) one step earlier.
+
+    The last result is kept (weak references and floats only), so the
+    cost terms, step rates and budget of one pair cost one run. It is
+    returned for the very same live ``ProtocolSpec`` and ``StateVector``
+    or ``DensityOperator`` input (identity; all are immutable) and the
+    same ``max_dim``.
     """
+    global _last_ledger
+    last = _last_ledger
+    if last and last[0]() is p and last[1]() is input_state and last[2] == max_dim:
+        return list(last[3])
     traj = run(p, input_state, max_dim=max_dim)
     memo: dict[frozenset[str], float] = {}
     out = []
@@ -489,6 +504,8 @@ def message_entropies(
                 memo[sub] = memo[names - sub] = entropy(st, ordered)
             row.append(memo[sub])
         out.append(MessageEntropies(*row))
+    if isinstance(p, ProtocolSpec) and isinstance(input_state, (StateVector, DensityOperator)):
+        _last_ledger = (weakref.ref(p), weakref.ref(input_state), max_dim, tuple(out))
     return out
 
 

@@ -1,5 +1,9 @@
 """The per-trajectory entropy ledger against direct per-step evaluation."""
 
+import dataclasses
+import gc
+import weakref
+
 import pytest
 
 from qiclab import (
@@ -12,6 +16,7 @@ from qiclab import (
     qic_terms,
     redist_rates,
     rename_protocol,
+    rename_state,
     run,
     validate,
 )
@@ -119,3 +124,79 @@ def test_ledger_rows_reuse_the_previous_step():
         ):
             names = [n for g in groups for n in g]
             assert abs(got - measures.entropy(st, names)) < 1e-12
+
+
+@pytest.fixture
+def run_calls(monkeypatch):
+    """Count the ledger's calls of ``protocol.run``."""
+    calls = []
+    original = protocol.run
+
+    def counting(*args, **kwargs):
+        calls.append(args[:2])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(protocol, "run", counting)
+    return calls
+
+
+class TestLastLedgerMemo:
+    """``message_entropies`` remembers its last (protocol, input) result."""
+
+    def test_three_views_of_one_pair_run_once(self, run_calls):
+        p, rho = _instance(3)
+        terms = qic_terms(p, rho)
+        rates = protocol_step_rates(p, rho)
+        budget = compression_budget(p, rho, 0.05)
+        assert len(run_calls) == 1
+        fresh = _instance(3)
+        assert terms == qic_terms(*fresh)
+        assert rates == protocol_step_rates(*fresh)
+        assert budget == compression_budget(*fresh, 0.05)
+        assert len(run_calls) == 2
+
+    def test_any_other_call_runs_again(self, run_calls):
+        p, rho = _instance(4)
+        _, other = _instance(5)
+        dim = run(p, rho).final_state.system.total_dim
+        qic_terms(p, rho)
+        qic_terms(p, rho, max_dim=dim)
+        qic_terms(dataclasses.replace(p), rho)
+        qic_terms(p, rename_state(rho, {}))
+        qic_terms(p, random_input_density(p, 7))
+        qic_terms(p, rho)
+        assert len(run_calls) == 6
+
+    def test_refused_call_stores_nothing(self, run_calls):
+        p, rho = _instance(6)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="max_dim"):
+                qic_terms(p, rho, max_dim=1)
+        terms = qic_terms(p, rho)
+        assert len(run_calls) == 3
+        assert qic_terms(p, rho) == terms
+        assert len(run_calls) == 3
+
+    def test_returned_list_is_the_callers(self):
+        p, rho = _instance(8)
+        rows = message_entropies(p, rho)
+        kept = list(rows)
+        rows.clear()
+        assert message_entropies(p, rho) == kept
+
+    def test_memo_keeps_no_object_alive(self):
+        p, rho = _instance(9)
+        qic_terms(p, rho)
+        refs = weakref.ref(p), weakref.ref(rho)
+        del p, rho
+        gc.collect()
+        assert [r() for r in refs] == [None, None]
+
+    def test_memoized_inputs_are_read_only(self):
+        p, rho = _instance(10)
+        arrays = [rho.matrix, p.preshared.amplitudes]
+        arrays += [st.matrix for u in p.unitaries for st in u.stages]
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[(0,) * a.ndim] = 0.0

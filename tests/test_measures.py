@@ -296,6 +296,19 @@ class TestGramKernel:
         assert abs(entropy(st, ["B"]) - exact) < 1e-10
         assert abs(rep.spectrum_floor - 1e-12) < 1e-14
 
+    @pytest.mark.parametrize("n", [2, 3, 5, 16, 64, 144, 324])
+    def test_error_is_within_the_stated_bound(self, n):
+        # the bound of _pure_subsystem_spectrum with c = 1/2: a Schmidt-form
+        # state's support cut leaves a square n x n matrix
+        t = 0.5 * n * n * np.finfo(float).eps
+        bound = t * math.log2(max(n - 1, 1)) - t * math.log2(t) - (1 - t) * math.log2(1 - t)
+        weights = 1e-16 ** (np.arange(n) / (n - 1))
+        for seed in range(3):
+            st = _schmidt_state(weights / weights.sum(), 100 * n + seed)
+            ref = _svd_entropy(st, ["A"])
+            assert abs(entropy(st, ["A"]) - ref) <= bound
+            assert abs(entropy(st, ["B"]) - ref) <= bound
+
     def test_padded_classical_purification_on_a_non_leading_side(self):
         st = _padded_classical_state()
         for keep in (["z", "x", "b"], ["r", "y"], ["y", "z"], ["b", "r", "z"]):
