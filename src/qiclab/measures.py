@@ -84,8 +84,9 @@ def _pure_subsystem_spectrum(state: StateVector, subsystem: Sequence[str]) -> np
     only moves it back toward the true value, which is >= 0. Over n
     eigenvalues the spectra are T <= n (k + n) eps/4 = c n^2 eps apart
     in trace distance, c = (1 + k/n)/4, and by Fannes-Audenaert
-    |dH| <= T log2(n - 1) + h2(T). A Schmidt-form state cut to its
-    support has k = n, so c = 1/2: 2.3e-14 bits at n = 2, 5.4e-10 at 324.
+    |dH| <= T log2(n - 1) + h2(T). A square M (k = n, as for a state in
+    Schmidt form cut to its support) has c = 1/2: |dH| <= 2.3e-14 bits
+    at n = 2, 5.4e-10 at n = 324.
     """
     system = state.system
     side = system.positions(subsystem)

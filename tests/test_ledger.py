@@ -157,7 +157,6 @@ class TestLastLedgerMemo:
 
     def test_any_other_call_runs_again(self, run_calls):
         p, rho = _instance(4)
-        _, other = _instance(5)
         dim = run(p, rho).final_state.system.total_dim
         qic_terms(p, rho)
         qic_terms(p, rho, max_dim=dim)

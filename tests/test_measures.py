@@ -298,8 +298,7 @@ class TestGramKernel:
 
     @pytest.mark.parametrize("n", [2, 3, 5, 16, 64, 144, 324])
     def test_error_is_within_the_stated_bound(self, n):
-        # the bound of _pure_subsystem_spectrum with c = 1/2: a Schmidt-form
-        # state's support cut leaves a square n x n matrix
+        # the bound of _pure_subsystem_spectrum; the states are n x n, so c = 1/2
         t = 0.5 * n * n * np.finfo(float).eps
         bound = t * math.log2(max(n - 1, 1)) - t * math.log2(t) - (1 - t) * math.log2(1 - t)
         weights = 1e-16 ** (np.arange(n) / (n - 1))
