@@ -21,12 +21,11 @@ from .hilbert import (
     TOL_PSD,
     ChannelOp,
     Register,
-    RegisterSystem,
     Stage,
-    StateVector,
     UnitaryOp,
     _fresh_name,
     _prod,
+    _zero_state,
     classical_state,
 )
 from .protocol import ProtocolSpec, _output_regs, run
@@ -95,7 +94,7 @@ def disjointness_pair(n: int) -> ClassicalFunctionPair:
 
 
 def _counter_permutation(fp: ClassicalFunctionPair, out_order: str) -> np.ndarray:
-    """Permutation from |x, y, a, b> to the digits x, y, a + f_a(x, y) mod |A|
+    """Index map from |x, y, a, b> to the digits x, y, a + f_a(x, y) mod |A|
     and b + f_b(x, y) mod |B|, laid out in the order ``out_order`` names them."""
     sizes = dict(zip("xyab", fp.f_a.shape + (fp.a_size, fp.b_size)))
     xi, yi, ai, bi = np.indices(tuple(sizes.values())).reshape(4, -1)
@@ -105,10 +104,7 @@ def _counter_permutation(fp: ClassicalFunctionPair, out_order: str) -> np.ndarra
         "a": (ai + fp.f_a[xi, yi]) % fp.a_size,
         "b": (bi + fp.f_b[xi, yi]) % fp.b_size,
     }
-    dst = np.ravel_multi_index([digits[k] for k in out_order], [sizes[k] for k in out_order])
-    mat = np.zeros((xi.size, xi.size))
-    mat[dst, np.arange(xi.size)] = 1.0
-    return mat
+    return np.ravel_multi_index([digits[k] for k in out_order], [sizes[k] for k in out_order])
 
 
 def function_channel(
@@ -133,18 +129,14 @@ def function_channel(
     anc_a = _fresh_name("Fa", taken)
     taken.add(anc_a)
     anc_b = _fresh_name("Fb", taken)
-    mat = _counter_permutation(fp, "abxy")
     in_regs = (Register(alice_in, x), Register(bob_in, y))
     anc_regs = (Register(anc_a, a), Register(anc_b, b))
     out_regs = (Register(alice_out, a), Register(bob_out, b))
     env_regs = (Register(env_x, x), Register(env_y, y))
-    amps = np.zeros(a * b, dtype=complex)
-    amps[0] = 1.0
-    anc_state = StateVector(
-        RegisterSystem(anc_regs, (BOB, BOB)), amps
+    dil = UnitaryOp.permutation(
+        _counter_permutation(fp, "abxy"), in_regs + anc_regs, out_regs + env_regs
     )
-    dil = UnitaryOp.dense(mat, in_regs + anc_regs, out_regs + env_regs)
-    return ChannelOp(in_regs, out_regs, anc_state, dil, (env_x, env_y))
+    return ChannelOp(in_regs, out_regs, _zero_state(anc_regs, BOB), dil, (env_x, env_y))
 
 
 def failure_probability(
@@ -350,32 +342,17 @@ def exact_protocol_for(fp: ClassicalFunctionPair) -> ProtocolSpec:
         "Fa": Register("Fa", a),
         "Fb": Register("Fb", b),
     }
-    amps = np.zeros(a * b, dtype=complex)
-    amps[0] = 1.0
-    preshared = StateVector(
-        RegisterSystem((regs["Fa"], regs["Fb"]), (BOB, BOB)), amps
-    )
+    preshared = _zero_state((regs["Fa"], regs["Fb"]), BOB)
     u1 = UnitaryOp.rename((regs["A_in"],), (Register("C_1", x),))
-    mat = _counter_permutation(fp, "xyab")
-    compute = Stage(
-        mat,
-        ("C_1", "B_in", "Fa", "Fb"),
+    u2 = UnitaryOp.permutation(
+        _counter_permutation(fp, "xyab"),
+        (Register("C_1", x), regs["B_in"], regs["Fa"], regs["Fb"]),
         (
             Register("Xc", x),
             Register("Yc", y),
             Register("C_2", a),
             Register("B_out", b),
         ),
-    )
-    u2 = UnitaryOp(
-        (regs["B_in"], regs["Fa"], regs["Fb"], Register("C_1", x)),
-        (
-            Register("Xc", x),
-            Register("Yc", y),
-            Register("C_2", a),
-            Register("B_out", b),
-        ),
-        (compute,),
     )
     u3 = UnitaryOp.rename((Register("C_2", a),), (Register("A_out", a),))
     return ProtocolSpec(

@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .hilbert import DEFAULT_MAX_DIM, DensityOperator, StateValidationError
+from .hilbert import DEFAULT_MAX_DIM, DensityOperator
 from .classical import classical_cc, classical_ic, classical_ic_prime, failure_probability, function_channel
 from .constructions import (
     and_average_protocol,
@@ -413,10 +413,7 @@ def main(argv=None) -> int:
         return 0
     try:
         return args.func(args)
-    except (FileFormatError, StateValidationError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (ProtocolValidationError, ValueError, KeyError) as e:
+    except (ValueError, KeyError) as e:  # the file, state and protocol errors are ValueErrors
         print(f"error: {e}", file=sys.stderr)
         return 2
 

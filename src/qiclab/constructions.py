@@ -13,7 +13,11 @@
   purified copies), dividing the n-slot information cost by n.
 
 Routing unitaries are selector-controlled permutations of basis-aligned
-register blocks, so they are exact and unitary by construction.
+register blocks, built as index maps by :meth:`UnitaryOp.permutation`, so
+they are exact and unitary by construction and move amplitudes without a
+matrix product. The mixture runs its branches as one
+:func:`parallel_compose`; it and slot averaging chain their routers onto
+the first and last unitaries and replay the result as one schedule.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from .hilbert import (
     UnitaryOp,
     _fresh_name,
     _prod,
+    _zero_state,
     canonical_classical_purification,
     chain_unitaries,
     tensor,
@@ -84,10 +89,10 @@ def controlled_permutation(
     digits = np.indices(sdims).reshape(len(sdims), d)
     picked = digits[np.array(assign, dtype=int).reshape(n, len(sources))]
     dst = np.ravel_multi_index(tuple(picked.swapaxes(0, 1)), tdims)
-    mat = np.zeros((n * d, n * d))
-    mat[(dst + d * np.arange(n)[:, None]).ravel(), np.arange(n * d)] = 1.0
-    return UnitaryOp.dense(
-        mat, (control,) + tuple(sources), (control,) + tuple(targets)
+    return UnitaryOp.permutation(
+        (dst + d * np.arange(n)[:, None]).ravel(),
+        (control,) + tuple(sources),
+        (control,) + tuple(targets),
     )
 
 
@@ -99,14 +104,6 @@ def _selector_state(weights: Sequence[float], s_a: Register, s_b: Register) -> S
         amps[i * n + i] = math.sqrt(w)
     return StateVector(
         RegisterSystem((s_a, s_b), (ALICE, BOB)), amps
-    )
-
-
-def _zero_state(regs: Sequence[Register], holder) -> StateVector:
-    amps = np.zeros(_prod(r.dim for r in regs), dtype=complex)
-    amps[0] = 1.0
-    return StateVector(
-        RegisterSystem(tuple(regs), tuple(holder for _ in regs)), amps
     )
 
 
@@ -213,17 +210,13 @@ def convex_mix(p1: ProtocolSpec, p2: ProtocolSpec, prob: float) -> ProtocolSpec:
     ) != tuple(r.dim for r in b2_out):
         raise ValueError("the two protocols must share output register shapes")
 
+    comp = parallel_compose(p1, p2)
     q1 = suffix_protocol(p1, "#1")
     q2 = suffix_protocol(p2, "#2")
-    mix_alice_in = tuple(Register(r.name, r.dim) for r in p1.alice_in)
-    mix_bob_in = tuple(Register(r.name, r.dim) for r in p1.bob_in)
-    mix_alice_out = tuple(Register(r.name, r.dim) for r in a1_out)
-    mix_bob_out = tuple(Register(r.name, r.dim) for r in b1_out)
-    taken = (
-        q1.all_names
-        | q2.all_names
-        | {r.name for r in mix_alice_in + mix_bob_in + mix_alice_out + mix_bob_out}
-    )
+    mix_alice_in, mix_bob_in, mix_alice_out, mix_bob_out = p1.alice_in, p1.bob_in, a1_out, b1_out
+    taken = comp.all_names | {
+        r.name for r in mix_alice_in + mix_bob_in + mix_alice_out + mix_bob_out
+    }
 
     def fresh(base: str, dim: int) -> Register:
         name = _fresh_name(base, taken)
@@ -236,8 +229,7 @@ def convex_mix(p1: ProtocolSpec, p2: ProtocolSpec, prob: float) -> ProtocolSpec:
     pad_b = [fresh(f"{r.name}~pad", r.dim) for r in mix_bob_in]
     junk_a = [fresh(f"{r.name}~junk", r.dim) for r in mix_alice_out]
     junk_b = [fresh(f"{r.name}~junk", r.dim) for r in mix_bob_out]
-    preshared = tensor(q1.preshared, q2.preshared)
-    preshared = tensor(preshared, _selector_state([prob, 1.0 - prob], s_a, s_b))
+    preshared = tensor(comp.preshared, _selector_state([prob, 1.0 - prob], s_a, s_b))
     preshared = tensor(preshared, _zero_state(pad_a, ALICE))
     preshared = tensor(preshared, _zero_state(pad_b, BOB))
 
@@ -262,33 +254,16 @@ def convex_mix(p1: ProtocolSpec, p2: ProtocolSpec, prob: float) -> ProtocolSpec:
         mix_bob_out + tuple(junk_b),
     )
 
-    m1, m2 = q1.num_messages, q2.num_messages
+    # each party routes the inputs on its first step and the outputs on
+    # its last: Bob's are U_M's, Alice's U_{M+1}'s
+    m = comp.num_messages
+    us = list(comp.unitaries)
+    us[0] = chain_unitaries(route_in_a, us[0])
+    us[1] = chain_unitaries(route_in_b, us[1])
+    us[m - 1] = chain_unitaries(us[m - 1], route_out_b)
+    us[m] = chain_unitaries(us[m], route_out_a)
     builder = _ProtocolBuilder(preshared, mix_alice_in, mix_bob_in)
-    for i in range(1, m1 + 2):
-        core = None
-
-        def add(u: UnitaryOp) -> None:
-            nonlocal core
-            core = u if core is None else chain_unitaries(core, u)
-
-        if i == 1:
-            add(route_in_a)
-        if i == 2:
-            add(route_in_b)
-        add(q1.unitaries[i - 1])
-        if i <= m2 + 1:
-            add(q2.unitaries[i - 1])
-        if i == m1:
-            add(route_out_b)
-        if i == m1 + 1:
-            add(route_out_a)
-        if i <= m1:
-            blocknames = q1.messages[i - 1] + (
-                q2.messages[i - 1] if i <= m2 else ()
-            )
-            builder.step(core, blocknames)
-        else:
-            builder.step(core, None)
+    builder.replay(us, comp.messages)
     slot = Slot(
         tuple(r.name for r in mix_alice_in),
         tuple(r.name for r in mix_bob_in),
@@ -499,15 +474,11 @@ def and_average_protocol(
         slot_regs_b + tuple(home_b),
         rows,
     )
+    us = list(qd.unitaries)
+    us[0] = chain_unitaries(route_a, us[0])
+    us[1] = chain_unitaries(route_b, us[1])
     builder = _ProtocolBuilder(preshared, (a_in,), (b_in,))
-    m = qd.num_messages
-    for i in range(1, m + 2):
-        core = qd.unitaries[i - 1]
-        if i == 1:
-            core = chain_unitaries(route_a, core)
-        if i == 2:
-            core = chain_unitaries(route_b, core)
-        builder.step(core, qd.messages[i - 1] if i <= m else None)
+    builder.replay(us, qd.messages)
     return builder.build(
         qd.alice_out,
         qd.bob_out,

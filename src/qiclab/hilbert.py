@@ -386,46 +386,79 @@ class DensityOperator:
         object.__setattr__(self, "classical", classical)
         return self
 
-    def validate_psd(self, tol: float = TOL_PSD) -> float:
-        """Return the smallest eigenvalue; raise if below ``-tol``."""
-        lo = float(_eigvalsh(self.matrix)[0])
-        if lo < -tol:
-            raise StateValidationError(f"smallest eigenvalue {lo} below -{tol}")
-        return lo
 
-
-@dataclass(frozen=True)
 class Stage:
-    """One factor of a staged unitary: a square matrix acting on a block.
+    """One factor of a staged unitary: a unitary of side ``dim`` acting on a block.
 
     ``in_names`` are consumed, ``out_regs`` are produced; the products of
-    the input and output dimensions must both equal the matrix side.
+    the input and output dimensions must both equal the side. A stage
+    holds a dense matrix, checked unitary (``perm`` is ``None``), or, from
+    :meth:`UnitaryOp.permutation`, the index map ``perm`` of a permutation
+    (basis state j goes to ``perm[j]``), checked as a bijection and applied
+    without a product. ``matrix`` reads as the read-only dense matrix in
+    both forms; an index map builds it on first read.
     """
 
-    matrix: np.ndarray
-    in_names: tuple[str, ...]
-    out_regs: tuple[Register, ...]
-
-    def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
-        d = mat.shape[0]
-        if mat.ndim != 2 or mat.shape[1] != d:
+    def __init__(self, matrix: np.ndarray, in_names: Sequence[str], out_regs: Sequence[Register]):
+        mat = np.asarray(matrix, dtype=complex)
+        if mat.ndim != 2 or mat.shape[1] != mat.shape[0]:
             raise ValueError("stage matrix must be square")
-        out_d = _prod(r.dim for r in self.out_regs)
+        self._set_block(mat.shape[0], in_names, out_regs)
+        _require_finite(mat, "stage matrix")
+        err = np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])))
+        if err > TOL_UNITARY:
+            raise StateValidationError(f"stage matrix not unitary: deviation {err}")
+        self.__dict__.update(perm=None, matrix=_freeze(np.array(mat)))
+
+    @classmethod
+    def _permutation(cls, perm, in_names: Sequence[str], out_regs: Sequence[Register]) -> "Stage":
+        """A stage holding the index map ``perm``; see :meth:`UnitaryOp.permutation`."""
+        perm = np.asarray(perm)
+        self = object.__new__(cls)
+        self._set_block(perm.size, in_names, out_regs)
+        # sorted, a bijection of 0..d-1 is 0..d-1 itself (which also
+        # refuses a map that is not 1-D or holds a non-integer)
+        if not np.array_equal(np.sort(perm), np.arange(perm.size)):
+            raise ValueError("stage index map is not a bijection")
+        self.__dict__["perm"] = _freeze(perm.astype(np.int64))
+        return self
+
+    def _set_block(self, d: int, in_names: Sequence[str], out_regs: Sequence[Register]) -> None:
+        out_regs = tuple(out_regs)
+        out_d = _prod(r.dim for r in out_regs)
         if out_d != d:
             raise ValueError(
                 f"stage output dimension {out_d} does not match matrix side {d}"
             )
-        if len(set(self.in_names)) != len(self.in_names):
+        in_names = tuple(in_names)
+        if len(set(in_names)) != len(in_names):
             raise ValueError("duplicate names in stage inputs")
-        out_names = [r.name for r in self.out_regs]
+        out_names = [r.name for r in out_regs]
         if len(set(out_names)) != len(out_names):
             raise ValueError("duplicate names in stage outputs")
-        _require_finite(mat, "stage matrix")
-        err = np.max(np.abs(mat.conj().T @ mat - np.eye(d)))
-        if err > TOL_UNITARY:
-            raise StateValidationError(f"stage matrix not unitary: deviation {err}")
-        object.__setattr__(self, "matrix", _freeze(np.array(mat)))
+        self.__dict__.update(in_names=in_names, out_regs=out_regs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen stage")
+
+    @property
+    def dim(self) -> int:
+        return _prod(r.dim for r in self.out_regs)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        # reached only on an index map: a dense stage stores its matrix here
+        d = self.perm.size
+        mat = np.zeros((d, d), dtype=complex)
+        mat[self.perm, np.arange(d)] = 1.0
+        return _freeze(mat)
+
+    def renamed(self, mapping: Mapping[str, str]) -> "Stage":
+        """The same stage, in the same form, with a register-name mapping applied."""
+        out = object.__new__(Stage)
+        out.__dict__.update(self.__dict__)
+        out._set_block(self.dim, _rename(self.in_names, mapping), _rename(self.out_regs, mapping))
+        return out
 
 
 @dataclass(frozen=True)
@@ -442,6 +475,8 @@ class UnitaryOp:
     stages: tuple[Stage, ...]
 
     def __post_init__(self):
+        for f in ("in_regs", "out_regs", "stages"):
+            object.__setattr__(self, f, tuple(getattr(self, f)))
         current = {r.name: r.dim for r in self.in_regs}
         if len(current) != len(self.in_regs):
             raise ValueError("duplicate input register names")
@@ -451,10 +486,10 @@ class UnitaryOp:
                 if n not in current:
                     raise ValueError(f"stage {k} consumes unknown register {n!r}")
                 d_in *= current.pop(n)
-            if d_in != st.matrix.shape[0]:
+            if d_in != st.dim:
                 raise ValueError(
                     f"stage {k}: input dimension {d_in} does not match matrix "
-                    f"side {st.matrix.shape[0]}"
+                    f"side {st.dim}"
                 )
             for r in st.out_regs:
                 if r.name in current:
@@ -473,25 +508,25 @@ class UnitaryOp:
         in_regs: Sequence[Register],
         out_regs: Sequence[Register],
     ) -> "UnitaryOp":
-        in_regs = tuple(in_regs)
-        out_regs = tuple(out_regs)
-        return cls(in_regs, out_regs, (Stage(np.asarray(matrix), tuple(r.name for r in in_regs), out_regs),))
+        return cls(in_regs, out_regs, (Stage(matrix, [r.name for r in in_regs], out_regs),))
+
+    @classmethod
+    def permutation(cls, perm, in_regs: Sequence[Register], out_regs: Sequence[Register]) -> "UnitaryOp":
+        """The one builder of 0/1 unitaries: basis state j of ``in_regs`` goes to
+        basis state ``perm[j]`` of ``out_regs``; its one stage keeps the index map."""
+        return cls(in_regs, out_regs, (Stage._permutation(perm, [r.name for r in in_regs], out_regs),))
 
     @classmethod
     def rename(cls, in_regs: Sequence[Register], out_regs: Sequence[Register]) -> "UnitaryOp":
         """Identity map that relabels a register block."""
-        d = _prod(r.dim for r in in_regs)
-        return cls.dense(np.eye(d), in_regs, out_regs)
+        return cls.permutation(np.arange(_prod(r.dim for r in in_regs)), in_regs, out_regs)
 
     def renamed(self, mapping: Mapping[str, str]) -> "UnitaryOp":
         """Apply a register-name mapping to the block and every stage."""
         return UnitaryOp(
             _rename(self.in_regs, mapping),
             _rename(self.out_regs, mapping),
-            tuple(
-                Stage(st.matrix, _rename(st.in_names, mapping), _rename(st.out_regs, mapping))
-                for st in self.stages
-            ),
+            tuple(st.renamed(mapping) for st in self.stages),
         )
 
     def extended(self, passthrough: Sequence[Register]) -> "UnitaryOp":
@@ -562,7 +597,18 @@ def _support_matrix(data, row_axes: Sequence[int]):
         perm = row_axes + [a for a in range(data.ndim) if a not in row_axes]
         d_row = _prod(data.shape[a] for a in row_axes)
         return None, None, np.ascontiguousarray(data.transpose(perm)).reshape(d_row, -1)
-    nz, vals, shape = data
+    r, c = _split_index(data, row_axes)
+    rows, r = np.unique(r, return_inverse=True)
+    cols, c = np.unique(c, return_inverse=True)
+    m = np.zeros((rows.size, cols.size), dtype=data.vals.dtype)
+    m[r, c] = data.vals
+    return rows, cols, m
+
+
+def _split_index(data: _Coords, row_axes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Each entry's row and column in the (``row_axes``, other axes) matrix
+    of a :class:`_Coords` array, uncompressed."""
+    nz, _, shape = data
     # row index: the row axes' digits of each flat index; column index: the
     # flat index with those digits struck out, most significant first
     r, c = np.zeros_like(nz), nz
@@ -571,30 +617,32 @@ def _support_matrix(data, row_axes: Sequence[int]):
     for a in sorted(row_axes):
         low = _prod(shape[a + 1:])
         c = c // (low * shape[a]) * low + c % low
-    rows, r = np.unique(r, return_inverse=True)
-    cols, c = np.unique(c, return_inverse=True)
-    m = np.zeros((rows.size, cols.size), dtype=vals.dtype)
-    m[r, c] = vals
-    return rows, cols, m
+    return r, c
 
 
 def _apply_stage_array(data, order: list[Register], st: Stage):
     """Apply a stage to a dense or :class:`_Coords` array whose leading axes follow ``order``.
 
     Trailing axes beyond the registers (if any) ride along untouched. A
-    dense array stays dense. On a support-form array the stage matrix
-    multiplies only the support of the (consumed, rest) matrix, and the
-    exact nonzeros of the product are the result's coordinates, in the
-    form their share calls for; no array of the full dimension is made.
+    dense array stays dense. On a support-form array an index map moves
+    each coordinate to its row's image; a stage matrix multiplies only the
+    support of the (consumed, rest) matrix, and the exact nonzeros of the
+    product are the result's coordinates, in the form their share calls
+    for. No array of the full dimension is made.
     """
     names = [r.name for r in order]
     idx = [names.index(n) for n in st.in_names]
     rest_shape = tuple(d for i, d in enumerate(data.shape) if i not in idx)
     out_shape = tuple(r.dim for r in st.out_regs) + rest_shape
-    rows, cols, m = _support_matrix(data, idx)
-    if rows is None:
-        new = (st.matrix @ m).reshape(out_shape)
+    if st.perm is not None and isinstance(data, _Coords):
+        r, c = _split_index(data, idx)
+        flat = st.perm[r] * _prod(rest_shape) + c
+        at = np.argsort(flat)
+        new = _Coords(flat[at], data.vals[at], out_shape)
+    elif not isinstance(data, _Coords):
+        new = (st.matrix @ _support_matrix(data, idx)[2]).reshape(out_shape)
     else:
+        rows, cols, m = _support_matrix(data, idx)
         prod = st.matrix[:, rows] @ m
         at = np.flatnonzero(prod)
         # flat index out_row * |rest| + col, ascending since cols is sorted
@@ -769,6 +817,13 @@ def purify(rho: DensityOperator, ref_name: str = "R") -> StateVector:
         rho.system.holders + (REFERENCE,),
     )
     return StateVector._unchecked(system, amps)
+
+
+def _zero_state(regs: Sequence[Register], holder: Holder) -> StateVector:
+    """The all-zeros basis state of ``regs``, every register held by ``holder``."""
+    amps = np.zeros(_prod(r.dim for r in regs), dtype=complex)
+    amps[0] = 1.0
+    return StateVector._unchecked(RegisterSystem(tuple(regs), (holder,) * len(regs)), amps)
 
 
 def classical_state(
@@ -1031,13 +1086,8 @@ def channel_from_kraus(
     env_name = _fresh_name("env", [r.name for r in in_regs + out_regs] + [anc_name])
     anc_reg = Register(anc_name, d_anc)
     env_reg = Register(env_name, n_env)
-    anc_amps = np.zeros(d_anc, dtype=complex)
-    anc_amps[0] = 1.0
-    anc_state = StateVector._unchecked(
-        RegisterSystem((anc_reg,), (REFERENCE,)), anc_amps
-    )
     dil = UnitaryOp.dense(u, in_regs + (anc_reg,), out_regs + (env_reg,))
-    return ChannelOp(in_regs, out_regs, anc_state, dil, (env_name,))
+    return ChannelOp(in_regs, out_regs, _zero_state((anc_reg,), REFERENCE), dil, (env_name,))
 
 
 def haar_random_unitary(dim: int, seed) -> np.ndarray:

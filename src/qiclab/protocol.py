@@ -15,10 +15,8 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Mapping, NamedTuple, Sequence
-
-import numpy as np
 
 from .hilbert import (
     ALICE,
@@ -30,7 +28,6 @@ from .hilbert import (
     DensityOperator,
     Holder,
     Register,
-    Stage,
     StateVector,
     UnitaryOp,
     _fresh_name,
@@ -83,6 +80,13 @@ class ProtocolSpec:
     alice_scratch: tuple[str, ...] = ()
     bob_scratch: tuple[str, ...] = ()
     slots: tuple[Slot, ...] = ()
+
+    def __post_init__(self):
+        # every field after num_messages and preshared becomes a tuple (messages
+        # a tuple of tuples): the ledger memo relies on a spec never changing
+        for f in fields(self)[2:]:
+            v = getattr(self, f.name)
+            object.__setattr__(self, f.name, tuple(map(tuple, v) if f.name == "messages" else v))
 
     @property
     def input_names(self) -> tuple[str, ...]:
@@ -658,8 +662,8 @@ def pad_rounds(p: ProtocolSpec, rounds: int = 2) -> ProtocolSpec:
         name = _fresh_name(f"Cpad{k + 1}", taken)
         taken.add(name)
         pad = Register(name, 1)
-        send = UnitaryOp((), (pad,), (Stage(np.eye(1), (), (pad,)),))
+        send = UnitaryOp.rename((), (pad,))
         builder.step(chain_unitaries(receive, send), (name,))
-        receive = UnitaryOp((pad,), (), (Stage(np.eye(1), (name,), ()),))
+        receive = UnitaryOp.rename((pad,), ())
     builder.step(receive, None)
     return builder.build(p.alice_out, p.bob_out, p.slots)

@@ -1046,10 +1046,8 @@ def _correlated_bit_protocol() -> ProtocolSpec:
     u2 = UnitaryOp(
         (Register("B_in", 1), Register("C_1", 2)),
         (Register("B_in", 1), Register("B_out", 2), Register("C_2", 1)),
-        (
-            Stage(np.eye(2), ("C_1",), (Register("B_out", 2),)),
-            Stage(np.eye(1), (), (Register("C_2", 1),)),
-        ),
+        UnitaryOp.rename((Register("C_1", 2),), (Register("B_out", 2),)).stages
+        + UnitaryOp.rename((), (Register("C_2", 1),)).stages,
     )
     u3 = UnitaryOp.rename((Register("C_2", 1),), (Register("A_fin", 1),))
     return ProtocolSpec(

@@ -24,6 +24,7 @@ from qiclab import (
     qic,
     reduced_density,
     run,
+    suffix_protocol,
     tensor,
     trace_norm,
     validate,
@@ -404,3 +405,29 @@ class TestSlotAveraging:
         pd, mu = self._base()
         with pytest.raises(ValueError, match="slots"):
             and_average_protocol(pd, mu, 3)
+
+    @staticmethod
+    def _wide(n):
+        pd = random_protocol(
+            np.random.default_rng(3), 2, alice_in_dims=(2,) * n, bob_in_dims=(2,) * n,
+            preshared_dims=(1, 1),
+        )
+        return and_average_protocol(pd, np.array([[1.0, 1.0], [1.0, 0.0]]) / 3.0, n)
+
+    def test_three_slots_run_on_their_supports(self):
+        # 5,159,780,352 amplitudes globally; the routers move only the support
+        pa = self._wide(3)
+        sigma = classical_state(
+            np.array([[1.0, 1.0], [1.0, 0.0]]) / 3.0,
+            [(pa.alice_in[0].name, 2, ALICE), (pa.bob_in[0].name, 2, BOB)],
+        )
+        steps = run(pa, sigma, max_dim=2**62).steps
+        assert [s._nonzeros() for s in steps] == [52488, 419904]
+
+    def test_four_slot_routers_keep_index_maps(self):
+        pa = self._wide(4)
+        for p in (pa, suffix_protocol(pa, "~")):
+            for u in p.unitaries[:2]:
+                router = u.stages[0]
+                assert router.dim == 4 * 2**12
+                assert router.perm is not None and "matrix" not in router.__dict__

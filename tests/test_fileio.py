@@ -1,5 +1,6 @@
 """File formats: round trips, schema errors, tolerance gates."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -128,6 +129,42 @@ class TestProtocolRoundTrip:
         back = load_protocol(path)
         assert validate(back) == []
         assert back.num_messages == p.num_messages
+
+    @pytest.mark.parametrize("build", ["mix", "average", "exact", "pad"])
+    def test_index_maps_write_as_their_dense_views(self, tmp_path, build):
+        from qiclab import (
+            Stage, UnitaryOp, and_average_protocol, convex_mix, exact_protocol_for, pad_rounds,
+        )
+
+        p = {
+            "mix": lambda: convex_mix(random_protocol(3, 4), random_protocol(4, 2), 0.3),
+            # a point mass keeps the purified copies, and so the file, small
+            "average": lambda: and_average_protocol(
+                random_protocol(
+                    5, 2, alice_in_dims=(2, 2), bob_in_dims=(2, 2), preshared_dims=(1, 1)
+                ),
+                np.array([[1.0, 0.0], [0.0, 0.0]]),
+                2,
+            ),
+            "exact": lambda: exact_protocol_for(and_pair()),
+            "pad": lambda: pad_rounds(random_protocol(8, 2)),
+        }[build]()
+        assert any(st.perm is not None for u in p.unitaries for st in u.stages)
+        dense = dataclasses.replace(
+            p,
+            unitaries=[
+                UnitaryOp(
+                    u.in_regs,
+                    u.out_regs,
+                    [Stage(st.matrix, st.in_names, st.out_regs) for st in u.stages],
+                )
+                for u in p.unitaries
+            ],
+        )
+        assert all(st.perm is None for u in dense.unitaries for st in u.stages)
+        save(p, tmp_path / "maps.json")
+        save(dense, tmp_path / "dense.json")
+        assert (tmp_path / "maps.json").read_bytes() == (tmp_path / "dense.json").read_bytes()
 
     def test_schedule_violation_reported_by_name(self, tmp_path):
         p = random_protocol(6, 2)

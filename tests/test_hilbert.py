@@ -6,6 +6,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from qiclab import (
     ALICE,
@@ -372,6 +374,89 @@ class TestSupportPath:
         apply_unitary(st, u)
         reduced_density(st, ["b", "a"])
         measures.entropy(st, ["c"])
+
+
+@hs.composite
+def _permutation_cases(draw):
+    """A state (dense or support form), a consumed block and an index map on it."""
+    dims = draw(hs.lists(hs.integers(1, 4), min_size=1, max_size=4))
+    names = [f"r{i}" for i in range(len(dims))]
+    consumed = draw(hs.permutations(range(len(dims))))[: draw(hs.integers(0, len(dims)))]
+    d = math.prod(dims[i] for i in consumed)
+    perm = np.array(draw(hs.permutations(range(d))), dtype=np.int64)
+    out_dims = draw(hs.permutations([dims[i] for i in consumed]))
+    out_regs = tuple(Register(f"o{k}", x) for k, x in enumerate(out_dims))
+    rng = np.random.default_rng(draw(hs.integers(0, 2**32 - 1)))
+    total = math.prod(dims)
+    amps = rng.standard_normal(total) + 1j * rng.standard_normal(total)
+    amps[rng.random(total) < draw(hs.sampled_from([0.0, 0.5, 0.9, 1.0]))] = 0
+    amps[rng.integers(total)] = 1.0  # never all zero
+    state = StateVector(
+        RegisterSystem.make([(n, x, ALICE) for n, x in zip(names, dims)]),
+        amps / np.linalg.norm(amps),
+    )
+    return state, tuple(names[i] for i in consumed), perm, out_regs
+
+
+class TestPermutationStage:
+    """Stages that keep an index map instead of a matrix."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_permutation_cases())
+    def test_index_map_matches_its_dense_view(self, case):
+        state, in_names, perm, out_regs = case
+        stage = UnitaryOp.permutation(
+            perm, [state.system.register(n) for n in in_names], out_regs
+        ).stages[0]
+        dense = Stage(stage.matrix, in_names, out_regs)
+        order = list(state.system.registers)
+        got, got_order = hilbert._apply_stage_array(state._data(), order, stage)
+        want, want_order = hilbert._apply_stage_array(state._data(), order, dense)
+        assert got_order == want_order
+        assert type(got) is type(want)
+        if isinstance(want, hilbert._Coords):
+            assert got.shape == want.shape
+            assert np.array_equal(got.idx, want.idx)
+            assert np.array_equal(got.vals, want.vals)
+        else:
+            assert np.array_equal(got, want)
+
+    def test_dense_view_is_the_permutation_matrix(self):
+        u = UnitaryOp.permutation([2, 0, 1], (Register("a", 3),), (Register("b", 3),))
+        stage = u.stages[0]
+        assert "matrix" not in stage.__dict__  # built only when read
+        assert np.array_equal(stage.matrix, np.eye(3)[:, [2, 0, 1]])
+        assert stage.matrix is stage.matrix
+        with pytest.raises(ValueError, match="read-only"):
+            stage.matrix[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            stage.perm[0] = 1
+
+    @pytest.mark.parametrize("perm", [[0, 0, 1], [0, 1, 3], [-1, 0, 1]])
+    def test_non_bijective_map_rejected(self, perm):
+        with pytest.raises(ValueError, match="bijection"):
+            UnitaryOp.permutation(perm, (Register("a", 3),), (Register("b", 3),))
+
+    def test_map_must_fit_the_block(self):
+        with pytest.raises(ValueError, match="does not match"):
+            UnitaryOp.permutation([1, 0], (Register("a", 3),), (Register("b", 3),))
+
+    def test_renamed_keeps_the_index_map(self):
+        u = UnitaryOp.permutation(
+            [3, 1, 0, 2], (Register("a", 2), Register("b", 2)), (Register("c", 4),)
+        )
+        v = u.renamed({"a": "x", "c": "z"})
+        assert v.in_names == ("x", "b") and v.out_names == ("z",)
+        (stage,) = v.stages
+        assert stage.in_names == ("x", "b")
+        assert stage.perm is u.stages[0].perm
+        assert "matrix" not in stage.__dict__
+        with pytest.raises(ValueError, match="duplicate"):
+            u.renamed({"a": "b"})
+
+    def test_rename_is_the_identity_map(self):
+        u = UnitaryOp.rename((Register("a", 2), Register("b", 3)), (Register("c", 6),))
+        assert np.array_equal(u.stages[0].perm, np.arange(6))
 
 
 class TestPurify:

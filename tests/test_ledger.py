@@ -191,6 +191,19 @@ class TestLastLedgerMemo:
         gc.collect()
         assert [r() for r in refs] == [None, None]
 
+    def test_spec_built_from_lists_cannot_change_under_the_memo(self):
+        p, rho = _instance(11)
+        pl = dataclasses.replace(
+            p, unitaries=list(p.unitaries), messages=[list(b) for b in p.messages]
+        )
+        terms = qic_terms(pl, rho)
+        assert terms == qic_terms(p, rho)
+        with pytest.raises(TypeError):
+            pl.unitaries[0] = random_protocol(12, 4).unitaries[0]
+        with pytest.raises(TypeError):
+            pl.messages[0][0] = "C2"
+        assert isinstance(pl.unitaries, tuple) and isinstance(pl.messages[0], tuple)
+
     def test_memoized_inputs_are_read_only(self):
         p, rho = _instance(10)
         arrays = [rho.matrix, p.preshared.amplitudes]
