@@ -18,7 +18,6 @@ from qiclab import (
     tensor,
 )
 from qiclab.fuzz import random_input_density, random_protocol
-from qiclab.protocol import rename_state
 
 rng = np.random.default_rng(1)
 
@@ -30,16 +29,16 @@ r2 = random_input_density(p2, rng)
 # --- running side by side -------------------------------------------------
 both = parallel_compose(p1, p2)
 joint = tensor(
-    rename_state(r1, {r.name: r.name + "#1" for r in p1.alice_in + p1.bob_in}),
-    rename_state(r2, {r.name: r.name + "#2" for r in p2.alice_in + p2.bob_in}),
+    r1.renamed({r.name: r.name + "#1" for r in p1.alice_in + p1.bob_in}),
+    r2.renamed({r.name: r.name + "#2" for r in p2.alice_in + p2.bob_in}),
 )
 print("parallel composition:")
 print("  cost(joint)          =", qic(both, joint))
 print("  cost(p1) + cost(p2)  =", qic(p1, r1) + qic(p2, r2))
 
 # --- freezing a slot --------------------------------------------------------
-r1c = rename_state(r1, {r.name: r.name + "#1" for r in p1.alice_in + p1.bob_in})
-r2c = rename_state(r2, {r.name: r.name + "#2" for r in p2.alice_in + p2.bob_in})
+r1c = r1.renamed({r.name: r.name + "#1" for r in p1.alice_in + p1.bob_in})
+r2c = r2.renamed({r.name: r.name + "#2" for r in p2.alice_in + p2.bob_in})
 only_first = fix_input(both, "second", r2c)
 only_second = fix_input(both, "first", r1c)
 print("input fixing:")

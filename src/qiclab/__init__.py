@@ -55,13 +55,12 @@ from .protocol import (
     nfold_error_check,
     pad_rounds,
     protocol_error,
+    message_dims,
     message_entropies,
     purify_input,
     qcc,
     qic,
     qic_terms,
-    rename_protocol,
-    rename_state,
     run,
     suffix_protocol,
     validate,
@@ -95,7 +94,6 @@ from .redistribution import (
     MessageRate,
     RateReport,
     compression_budget,
-    message_dims,
     protocol_step_rates,
     redist_rates,
 )

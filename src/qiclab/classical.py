@@ -123,11 +123,8 @@ def function_channel(
     x, y, a, b = fp.x_size, fp.y_size, fp.a_size, fp.b_size
     taken = {alice_in, bob_in, alice_out, bob_out}
     env_x = _fresh_name(alice_in + "~env", taken)
-    taken.add(env_x)
     env_y = _fresh_name(bob_in + "~env", taken)
-    taken.add(env_y)
     anc_a = _fresh_name("Fa", taken)
-    taken.add(anc_a)
     anc_b = _fresh_name("Fb", taken)
     in_regs = (Register(alice_in, x), Register(bob_in, y))
     anc_regs = (Register(anc_a, a), Register(anc_b, b))

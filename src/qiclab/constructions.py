@@ -211,24 +211,16 @@ def convex_mix(p1: ProtocolSpec, p2: ProtocolSpec, prob: float) -> ProtocolSpec:
         raise ValueError("the two protocols must share output register shapes")
 
     comp = parallel_compose(p1, p2)
-    q1 = suffix_protocol(p1, "#1")
-    q2 = suffix_protocol(p2, "#2")
     mix_alice_in, mix_bob_in, mix_alice_out, mix_bob_out = p1.alice_in, p1.bob_in, a1_out, b1_out
     taken = comp.all_names | {
         r.name for r in mix_alice_in + mix_bob_in + mix_alice_out + mix_bob_out
     }
-
-    def fresh(base: str, dim: int) -> Register:
-        name = _fresh_name(base, taken)
-        taken.add(name)
-        return Register(name, dim)
-
-    s_a = fresh("SA", 2)
-    s_b = fresh("SB", 2)
-    pad_a = [fresh(f"{r.name}~pad", r.dim) for r in mix_alice_in]
-    pad_b = [fresh(f"{r.name}~pad", r.dim) for r in mix_bob_in]
-    junk_a = [fresh(f"{r.name}~junk", r.dim) for r in mix_alice_out]
-    junk_b = [fresh(f"{r.name}~junk", r.dim) for r in mix_bob_out]
+    s_a = Register(_fresh_name("SA", taken), 2)
+    s_b = Register(_fresh_name("SB", taken), 2)
+    pad_a = [Register(_fresh_name(f"{r.name}~pad", taken), r.dim) for r in mix_alice_in]
+    pad_b = [Register(_fresh_name(f"{r.name}~pad", taken), r.dim) for r in mix_bob_in]
+    junk_a = [Register(_fresh_name(f"{r.name}~junk", taken), r.dim) for r in mix_alice_out]
+    junk_b = [Register(_fresh_name(f"{r.name}~junk", taken), r.dim) for r in mix_bob_out]
     preshared = tensor(comp.preshared, _selector_state([prob, 1.0 - prob], s_a, s_b))
     preshared = tensor(preshared, _zero_state(pad_a, ALICE))
     preshared = tensor(preshared, _zero_state(pad_b, BOB))
@@ -241,18 +233,11 @@ def convex_mix(p1: ProtocolSpec, p2: ProtocolSpec, prob: float) -> ProtocolSpec:
             control, sources, targets, [keep, keep[k:] + keep[:k]]
         )
 
-    route_in_a = route(s_a, mix_alice_in + tuple(pad_a), q1.alice_in + q2.alice_in)
-    route_in_b = route(s_b, mix_bob_in + tuple(pad_b), q1.bob_in + q2.bob_in)
-    route_out_a = route(
-        s_a,
-        _output_regs(q1, q1.alice_out) + _output_regs(q2, q2.alice_out),
-        mix_alice_out + tuple(junk_a),
-    )
-    route_out_b = route(
-        s_b,
-        _output_regs(q1, q1.bob_out) + _output_regs(q2, q2.bob_out),
-        mix_bob_out + tuple(junk_b),
-    )
+    # the composition lists the first branch's inputs and outputs, then the second's
+    route_in_a = route(s_a, mix_alice_in + tuple(pad_a), comp.alice_in)
+    route_in_b = route(s_b, mix_bob_in + tuple(pad_b), comp.bob_in)
+    route_out_a = route(s_a, _output_regs(comp, comp.alice_out), mix_alice_out + tuple(junk_a))
+    route_out_b = route(s_b, _output_regs(comp, comp.bob_out), mix_bob_out + tuple(junk_b))
 
     # each party routes the inputs on its first step and the outputs on
     # its last: Bob's are U_M's, Alice's U_{M+1}'s
@@ -355,7 +340,6 @@ def and_embed_protocol(
         if j == index:
             continue
         ref = _fresh_name(f"Rcopy{j}", taken)
-        taken.add(ref)
         pure = canonical_classical_purification(
             mu,
             alice_name=slot.alice_in[0],
@@ -423,26 +407,17 @@ def and_average_protocol(
         raise ValueError(f"distribution shape {mu.shape} does not match slots {(da, db)}")
     qd = suffix_protocol(pd, "#D")
     taken = set(qd.all_names)
-
-    def fresh(base: str, dim: int) -> Register:
-        name = _fresh_name(base, taken)
-        taken.add(name)
-        return Register(name, dim)
-
-    a_in = fresh("A_in", da)
-    b_in = fresh("B_in", db)
-    s_a = fresh("SA", n)
-    s_b = fresh("SB", n)
+    a_in = Register(_fresh_name("A_in", taken), da)
+    b_in = Register(_fresh_name("B_in", taken), db)
+    s_a = Register(_fresh_name("SA", taken), n)
+    s_b = Register(_fresh_name("SB", taken), n)
     copies_a: list[Register] = []
     copies_b: list[Register] = []
     preshared = qd.preshared
     for j in range(1, 2 * n + 1):
         ca = _fresh_name(f"DA{j}", taken)
-        taken.add(ca)
         cb = _fresh_name(f"DB{j}", taken)
-        taken.add(cb)
         ref = _fresh_name(f"DR{j}", taken)
-        taken.add(ref)
         pure = canonical_classical_purification(
             mu, alice_name=ca, bob_name=cb, ref_name=ref
         )
@@ -450,10 +425,10 @@ def and_average_protocol(
         preshared = tensor(preshared, pure)
         copies_a.append(Register(ca, da))
         copies_b.append(Register(cb, db))
-    pad_a = [fresh(f"PA{k}", da) for k in range(1, n)]
-    pad_b = [fresh(f"PB{k}", db) for k in range(1, n)]
-    home_a = [fresh(f"HA{j}", da) for j in range(1, 2 * n + 1)]
-    home_b = [fresh(f"HB{j}", db) for j in range(1, 2 * n + 1)]
+    pad_a = [Register(_fresh_name(f"PA{k}", taken), da) for k in range(1, n)]
+    pad_b = [Register(_fresh_name(f"PB{k}", taken), db) for k in range(1, n)]
+    home_a = [Register(_fresh_name(f"HA{j}", taken), da) for j in range(1, 2 * n + 1)]
+    home_b = [Register(_fresh_name(f"HB{j}", taken), db) for j in range(1, 2 * n + 1)]
     preshared = tensor(preshared, _selector_state([1.0 / n] * n, s_a, s_b))
     preshared = tensor(preshared, _zero_state(pad_a, ALICE))
     preshared = tensor(preshared, _zero_state(pad_b, BOB))

@@ -22,7 +22,7 @@ most significant index; matrices are row-major over that ordering.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -95,14 +95,31 @@ def _prod(dims: Iterable[int]) -> int:
     return out
 
 
-def _rename(items: Iterable, mapping: Mapping[str, str]) -> tuple:
-    """Apply a register-name mapping to names or registers; unmapped ones stay."""
-    return tuple(
-        Register(mapping.get(x.name, x.name), x.dim)
-        if isinstance(x, Register)
-        else mapping.get(x, x)
-        for x in items
-    )
+def _rename(x, mapping: Mapping[str, str]):
+    """The one register-name mapper: a name, a :class:`Register`, a tuple (or
+    list) of these nested to any depth, or an object with a ``renamed``
+    method; unmapped names and anything else (dims, holders, arrays) stay."""
+    if isinstance(x, str):
+        return mapping.get(x, x)
+    if isinstance(x, Register):
+        return Register(mapping.get(x.name, x.name), x.dim)
+    if isinstance(x, (tuple, list)):
+        return tuple(_rename(y, mapping) for y in x)
+    renamed = getattr(x, "renamed", None)
+    return x if renamed is None else renamed(mapping)
+
+
+def _renamed_fields(self, mapping: Mapping[str, str]):
+    """The ``renamed`` of a frozen dataclass: :func:`_rename` applied to every
+    field, rebuilt through ``dataclasses.replace`` so its constructor checks
+    the result."""
+    return replace(self, **{f.name: _rename(getattr(self, f.name), mapping) for f in fields(self)})
+
+
+def _require_unique(names: Sequence[str], what: str) -> None:
+    if len(set(names)) != len(names):
+        dupes = sorted({n for n in names if names.count(n) > 1})
+        raise ValueError(f"duplicate {what}: {dupes}")
 
 
 @dataclass(frozen=True)
@@ -115,10 +132,7 @@ class RegisterSystem:
     def __post_init__(self):
         if len(self.registers) != len(self.holders):
             raise ValueError("one holder tag required per register")
-        names = [r.name for r in self.registers]
-        if len(set(names)) != len(names):
-            dupes = sorted({n for n in names if names.count(n) > 1})
-            raise ValueError(f"duplicate register names: {dupes}")
+        _require_unique([r.name for r in self.registers], "register names")
 
     @staticmethod
     def make(specs: Iterable[tuple[str, int, Holder]]) -> "RegisterSystem":
@@ -187,9 +201,7 @@ class RegisterSystem:
         )
         return RegisterSystem(self.registers, holders)
 
-    def renamed(self, mapping: Mapping[str, str]) -> "RegisterSystem":
-        """Relabel registers by a name mapping; dimensions and holders stay."""
-        return RegisterSystem(_rename(self.registers, mapping), self.holders)
+    renamed = _renamed_fields
 
 
 def _eigvalsh(a: np.ndarray, lower: int = 1, overwrite: bool = False) -> np.ndarray:
@@ -386,6 +398,10 @@ class DensityOperator:
         object.__setattr__(self, "classical", classical)
         return self
 
+    def renamed(self, mapping: Mapping[str, str]) -> "DensityOperator":
+        """Relabel registers by a name mapping; the very same matrix stays, unchecked."""
+        return DensityOperator._unchecked(self.system.renamed(mapping), self.matrix, self.classical)
+
 
 class Stage:
     """One factor of a staged unitary: a unitary of side ``dim`` acting on a block.
@@ -431,11 +447,8 @@ class Stage:
                 f"stage output dimension {out_d} does not match matrix side {d}"
             )
         in_names = tuple(in_names)
-        if len(set(in_names)) != len(in_names):
-            raise ValueError("duplicate names in stage inputs")
-        out_names = [r.name for r in out_regs]
-        if len(set(out_names)) != len(out_names):
-            raise ValueError("duplicate names in stage outputs")
+        _require_unique(in_names, "names in stage inputs")
+        _require_unique([r.name for r in out_regs], "names in stage outputs")
         self.__dict__.update(in_names=in_names, out_regs=out_regs)
 
     def __setattr__(self, name, value):
@@ -477,9 +490,8 @@ class UnitaryOp:
     def __post_init__(self):
         for f in ("in_regs", "out_regs", "stages"):
             object.__setattr__(self, f, tuple(getattr(self, f)))
+        _require_unique([r.name for r in self.in_regs], "input register names")
         current = {r.name: r.dim for r in self.in_regs}
-        if len(current) != len(self.in_regs):
-            raise ValueError("duplicate input register names")
         for k, st in enumerate(self.stages):
             d_in = 1
             for n in st.in_names:
@@ -521,13 +533,7 @@ class UnitaryOp:
         """Identity map that relabels a register block."""
         return cls.permutation(np.arange(_prod(r.dim for r in in_regs)), in_regs, out_regs)
 
-    def renamed(self, mapping: Mapping[str, str]) -> "UnitaryOp":
-        """Apply a register-name mapping to the block and every stage."""
-        return UnitaryOp(
-            _rename(self.in_regs, mapping),
-            _rename(self.out_regs, mapping),
-            tuple(st.renamed(mapping) for st in self.stages),
-        )
+    renamed = _renamed_fields
 
     def extended(self, passthrough: Sequence[Register]) -> "UnitaryOp":
         """Adjoin registers that the unitary formally covers but never touches."""
@@ -624,8 +630,10 @@ def _apply_stage_array(data, order: list[Register], st: Stage):
     """Apply a stage to a dense or :class:`_Coords` array whose leading axes follow ``order``.
 
     Trailing axes beyond the registers (if any) ride along untouched. A
-    dense array stays dense. On a support-form array an index map moves
-    each coordinate to its row's image; a stage matrix multiplies only the
+    dense array stays dense. An index map moves each coordinate of a
+    support-form array to its row's image, and each row of a dense
+    array's (consumed, rest) matrix to its image, never reading the dense
+    view. On a support-form array a stage matrix multiplies only the
     support of the (consumed, rest) matrix, and the exact nonzeros of the
     product are the result's coordinates, in the form their share calls
     for. No array of the full dimension is made.
@@ -639,6 +647,11 @@ def _apply_stage_array(data, order: list[Register], st: Stage):
         flat = st.perm[r] * _prod(rest_shape) + c
         at = np.argsort(flat)
         new = _Coords(flat[at], data.vals[at], out_shape)
+    elif st.perm is not None:
+        m = _support_matrix(data, idx)[2]
+        moved = np.empty_like(m)
+        moved[st.perm] = m
+        new = moved.reshape(out_shape)
     elif not isinstance(data, _Coords):
         new = (st.matrix @ _support_matrix(data, idx)[2]).reshape(out_shape)
     else:
@@ -938,15 +951,7 @@ class ChannelOp:
     def out_names(self) -> tuple[str, ...]:
         return tuple(r.name for r in self.out_regs)
 
-    def renamed(self, mapping: Mapping[str, str]) -> "ChannelOp":
-        """Apply a register-name mapping to every component of the channel."""
-        return ChannelOp(
-            _rename(self.in_regs, mapping),
-            _rename(self.out_regs, mapping),
-            self.ancilla_state.renamed(mapping),
-            self.dilation.renamed(mapping),
-            _rename(self.traced, mapping),
-        )
+    renamed = _renamed_fields
 
     def _avoiding(self, state_names: Iterable[str]) -> "ChannelOp":
         """Rename non-input channel registers that collide with live names.
@@ -965,9 +970,7 @@ class ChannelOp:
             candidates.extend(r.name for r in st.out_regs)
         for n in candidates:
             if n in external and n not in mapping:
-                fresh = _fresh_name(n + "~", taken)
-                mapping[n] = fresh
-                taken.add(fresh)
+                mapping[n] = _fresh_name(n + "~", taken)
         return self.renamed(mapping) if mapping else self
 
     def apply_to_vector(self, state: StateVector) -> tuple[StateVector, "ChannelOp"]:
@@ -992,7 +995,7 @@ class ChannelOp:
         identity; a mixed input is purified first and its reference kept.
         """
         if isinstance(state, DensityOperator):
-            vec = purify(state, ref_name=_fresh_name("Rch", state.system.names))
+            vec = purify(state, ref_name=_fresh_name("Rch", set(state.system.names)))
         else:
             vec = state
         out, ch = self.apply_to_vector(vec)
@@ -1030,14 +1033,14 @@ class ChannelOp:
             raise StateValidationError("channel is not trace preserving")
 
 
-def _fresh_name(base: str, taken: Iterable[str]) -> str:
-    taken = set(taken)
-    if base not in taken:
-        return base
-    k = 2
-    while f"{base}{k}" in taken:
-        k += 1
-    return f"{base}{k}"
+def _fresh_name(base: str, taken: set[str]) -> str:
+    """``base``, or ``base`` with the least suffix from 2 up, not in ``taken``;
+    the name returned joins ``taken``."""
+    name, k = base, 2
+    while name in taken:
+        name, k = f"{base}{k}", k + 1
+    taken.add(name)
+    return name
 
 
 def channel_from_kraus(
@@ -1082,8 +1085,9 @@ def channel_from_kraus(
         free = [c for c in range(big) if c % d_anc != 0]
         for k, c in enumerate(free):
             u[:, c] = rest[:, k]
-    anc_name = _fresh_name("anc", [r.name for r in in_regs + out_regs])
-    env_name = _fresh_name("env", [r.name for r in in_regs + out_regs] + [anc_name])
+    taken = {r.name for r in in_regs + out_regs}
+    anc_name = _fresh_name("anc", taken)
+    env_name = _fresh_name("env", taken)
     anc_reg = Register(anc_name, d_anc)
     env_reg = Register(env_name, n_env)
     dil = UnitaryOp.dense(u, in_regs + (anc_reg,), out_regs + (env_reg,))

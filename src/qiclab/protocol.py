@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Mapping, NamedTuple, Sequence
 
 from .hilbert import (
@@ -31,7 +31,8 @@ from .hilbert import (
     StateVector,
     UnitaryOp,
     _fresh_name,
-    _rename,
+    _prod,
+    _renamed_fields,
     apply_unitary,
     canonical_purification,
     chain_unitaries,
@@ -58,6 +59,8 @@ class Slot:
     bob_in: tuple[str, ...]
     alice_out: tuple[str, ...] = ()
     bob_out: tuple[str, ...] = ()
+
+    renamed = _renamed_fields
 
 
 @dataclass(frozen=True)
@@ -87,6 +90,8 @@ class ProtocolSpec:
         for f in fields(self)[2:]:
             v = getattr(self, f.name)
             object.__setattr__(self, f.name, tuple(map(tuple, v) if f.name == "messages" else v))
+
+    renamed = _renamed_fields
 
     @property
     def input_names(self) -> tuple[str, ...]:
@@ -432,14 +437,25 @@ def run(
     return Trajectory(tuple(steps), state, output)
 
 
+def _message_regs(p: ProtocolSpec) -> list[tuple[Register, ...]]:
+    """The registers of each message block, with the dims its unitary emits."""
+    out = []
+    for u, block in zip(p.unitaries, p.messages):
+        dims = {r.name: r.dim for r in u.out_regs}
+        out.append(tuple(Register(n, dims[n]) for n in block))
+    return out
+
+
 def qcc(p: ProtocolSpec) -> float:
     """Communication cost: sum of log2 message dimensions, in qubits."""
     _require_valid(p)
-    total = 0.0
-    for i in range(1, p.num_messages + 1):
-        dims = {r.name: r.dim for r in p.unitaries[i - 1].out_regs}
-        total += sum(math.log2(dims[n]) for n in p.messages[i - 1])
-    return total
+    # a sum of per-register logs: the log of a block's product can differ in the last bit
+    return sum((sum(math.log2(r.dim) for r in block) for block in _message_regs(p)), 0.0)
+
+
+def message_dims(p: ProtocolSpec) -> list[int]:
+    """Dimension of each message block (product over its registers)."""
+    return [_prod(r.dim for r in block) for block in _message_regs(p)]
 
 
 class MessageEntropies(NamedTuple):
@@ -556,14 +572,6 @@ def protocol_error(
     return trace_norm(out1.matrix - out2.matrix)
 
 
-def rename_state(state, mapping: Mapping[str, str]):
-    """Relabel registers of a state (no physical change)."""
-    if isinstance(state, StateVector):
-        return state.renamed(mapping)
-    system = state.system.renamed(mapping)
-    return DensityOperator._unchecked(system, state.matrix, state.classical)
-
-
 def nfold_error_check(
     p_n: ProtocolSpec,
     task: QuantumTask,
@@ -593,7 +601,7 @@ def nfold_error_check(
         vec_i, ch_i = ch.apply_to_vector(pure_i)
         targets.append(reduced_density(vec_i, list(ch_i.out_names) + [ref]))
         mapping = dict(zip(ch_in, slot_names))
-        copies.append(rename_state(pure_i, mapping))
+        copies.append(pure_i.renamed(mapping))
     joint = copies[0]
     for c in copies[1:]:
         joint = tensor(joint, c)
@@ -611,35 +619,9 @@ def nfold_error_check(
     return entries
 
 
-def rename_protocol(p: ProtocolSpec, mapping: Mapping[str, str]) -> ProtocolSpec:
-    """Apply a register-name mapping to every component of a protocol."""
-    return replace(
-        p,
-        preshared=rename_state(p.preshared, mapping),
-        unitaries=tuple(u.renamed(mapping) for u in p.unitaries),
-        alice_in=_rename(p.alice_in, mapping),
-        bob_in=_rename(p.bob_in, mapping),
-        messages=tuple(_rename(block, mapping) for block in p.messages),
-        alice_out=_rename(p.alice_out, mapping),
-        bob_out=_rename(p.bob_out, mapping),
-        alice_scratch=_rename(p.alice_scratch, mapping),
-        bob_scratch=_rename(p.bob_scratch, mapping),
-        slots=tuple(
-            Slot(
-                _rename(s.alice_in, mapping),
-                _rename(s.bob_in, mapping),
-                _rename(s.alice_out, mapping),
-                _rename(s.bob_out, mapping),
-            )
-            for s in p.slots
-        ),
-    )
-
-
 def suffix_protocol(p: ProtocolSpec, suffix: str) -> ProtocolSpec:
     """Rename every register of a protocol with a suffix."""
-    mapping = {n: n + suffix for n in p.all_names}
-    return rename_protocol(p, mapping)
+    return p.renamed({n: n + suffix for n in p.all_names})
 
 
 def pad_rounds(p: ProtocolSpec, rounds: int = 2) -> ProtocolSpec:
@@ -660,7 +642,6 @@ def pad_rounds(p: ProtocolSpec, rounds: int = 2) -> ProtocolSpec:
     receive = p.unitaries[m]
     for k in range(rounds):
         name = _fresh_name(f"Cpad{k + 1}", taken)
-        taken.add(name)
         pad = Register(name, 1)
         send = UnitaryOp.rename((), (pad,))
         builder.step(chain_unitaries(receive, send), (name,))

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .hilbert import DEFAULT_MAX_DIM, StateVector, _prod
+from .hilbert import DEFAULT_MAX_DIM, StateVector
 from .measures import cond_entropy, cond_mutual_info, mutual_info
 from .protocol import ProtocolSpec, message_entropies
 
@@ -130,12 +130,3 @@ def compression_budget(
         for i, rep in enumerate(rates, start=1)
     )
     return CompressionBudget(per, sum(m.q for m in per) + delta / 2.0)
-
-
-def message_dims(p: ProtocolSpec) -> list[int]:
-    """Dimension of each message block (product over its registers)."""
-    out = []
-    for i in range(1, p.num_messages + 1):
-        dims = {r.name: r.dim for r in p.unitaries[i - 1].out_regs}
-        out.append(_prod(dims[n] for n in p.messages[i - 1]))
-    return out

@@ -49,11 +49,11 @@ from .protocol import (
     ProtocolSpec,
     QuantumTask,
     _output_regs,
+    message_dims,
     pad_rounds,
     protocol_error,
     qcc,
     qic,
-    rename_state,
     run,
     nfold_error_check,
     purify_input,
@@ -76,7 +76,7 @@ from .classical import (
     function_channel,
     noisy_protocol_for,
 )
-from .redistribution import compression_budget, message_dims, protocol_step_rates
+from .redistribution import compression_budget, protocol_step_rates
 
 
 @dataclass(frozen=True)
@@ -569,8 +569,8 @@ def _check_parallel_additivity(rng, tol):
         r1 = fuzz.random_input_density(p1, rng)
         r2 = fuzz.random_input_density(p2, rng)
         joint = tensor(
-            rename_state(r1, {r.name: r.name + "#1" for r in p1.alice_in + p1.bob_in}),
-            rename_state(r2, {r.name: r.name + "#2" for r in p2.alice_in + p2.bob_in}),
+            r1.renamed({r.name: r.name + "#1" for r in p1.alice_in + p1.bob_in}),
+            r2.renamed({r.name: r.name + "#2" for r in p2.alice_in + p2.bob_in}),
         )
         worst.add(qic(comp, joint), qic(p1, r1) + qic(p2, r2))
     return worst.result()
@@ -587,13 +587,11 @@ def _check_fixing_split(rng, tol):
         p1 = fuzz.random_protocol(rng, 2)
         p2 = fuzz.random_protocol(rng, 2 if rng.random() < 0.5 else 4)
         comp = parallel_compose(p1, p2)
-        r1 = rename_state(
-            fuzz.random_input_density(p1, rng),
-            {r.name: r.name + "#1" for r in p1.alice_in + p1.bob_in},
+        r1 = fuzz.random_input_density(p1, rng).renamed(
+            {r.name: r.name + "#1" for r in p1.alice_in + p1.bob_in}
         )
-        r2 = rename_state(
-            fuzz.random_input_density(p2, rng),
-            {r.name: r.name + "#2" for r in p2.alice_in + p2.bob_in},
+        r2 = fuzz.random_input_density(p2, rng).renamed(
+            {r.name: r.name + "#2" for r in p2.alice_in + p2.bob_in}
         )
         first = fix_input(comp, "second", r2)
         second = fix_input(comp, "first", r1)
@@ -799,12 +797,11 @@ def _check_average_channel(rng, tol):
         o_avg = run(pa, pp).output.matrix
         mats = []
         for e in embeds:
-            probe_e = rename_state(
-                pp,
+            probe_e = pp.renamed(
                 {
                     pa.alice_in[0].name: e.alice_in[0].name,
                     pa.bob_in[0].name: e.bob_in[0].name,
-                },
+                }
             )
             mats.append(run(e, probe_e).output.matrix)
         blend = 0.5 * (mats[0] + mats[1])

@@ -31,7 +31,6 @@ from qiclab import (
 )
 from qiclab.constructions import _slot_routing_rows
 from qiclab.fuzz import random_input_density, random_protocol
-from qiclab.protocol import rename_state
 
 from test_protocol import correlated_bit_protocol, empty_state
 
@@ -170,8 +169,8 @@ class TestParallelCompose:
         r1 = random_input_density(p1, rng)
         r2 = random_input_density(p2, rng)
         joint = tensor(
-            rename_state(r1, {r.name: r.name + "#1" for r in p1.alice_in + p1.bob_in}),
-            rename_state(r2, {r.name: r.name + "#2" for r in p2.alice_in + p2.bob_in}),
+            r1.renamed({r.name: r.name + "#1" for r in p1.alice_in + p1.bob_in}),
+            r2.renamed({r.name: r.name + "#2" for r in p2.alice_in + p2.bob_in}),
         )
         assert abs(qic(comp, joint) - qic(p1, r1) - qic(p2, r2)) < 1e-7
 
@@ -188,13 +187,11 @@ class TestFixInput:
         p1 = random_protocol(rng, 2)
         p2 = random_protocol(rng, 2)
         comp = parallel_compose(p1, p2)
-        r1 = rename_state(
-            random_input_density(p1, rng),
-            {r.name: r.name + "#1" for r in p1.alice_in + p1.bob_in},
+        r1 = random_input_density(p1, rng).renamed(
+            {r.name: r.name + "#1" for r in p1.alice_in + p1.bob_in}
         )
-        r2 = rename_state(
-            random_input_density(p2, rng),
-            {r.name: r.name + "#2" for r in p2.alice_in + p2.bob_in},
+        r2 = random_input_density(p2, rng).renamed(
+            {r.name: r.name + "#2" for r in p2.alice_in + p2.bob_in}
         )
         return comp, r1, r2
 
@@ -240,9 +237,8 @@ class TestFixInput:
         frozen = fix_input(comp, "second", r2)
         rho2_pure = purify_input(r2, "Rx2")
         for seed in range(5):
-            probe = rename_state(
-                random_input_density(random_protocol(31, 2), seed + 200),
-                {n: n + "#1" for n in ("Xa1", "Yb1")},
+            probe = random_input_density(random_protocol(31, 2), seed + 200).renamed(
+                {n: n + "#1" for n in ("Xa1", "Yb1")}
             )
             probe_pure = purify_input(probe, "Rp")
             keep = list(frozen.alice_out) + list(frozen.bob_out) + ["Rp"]
@@ -376,12 +372,11 @@ class TestSlotAveraging:
             o_avg = reduced_density(run(pa, pp).final_state, keep_a)
             mats = []
             for e in embeds:
-                probe_e = rename_state(
-                    pp,
+                probe_e = pp.renamed(
                     {
                         pa.alice_in[0].name: e.alice_in[0].name,
                         pa.bob_in[0].name: e.bob_in[0].name,
-                    },
+                    }
                 )
                 keep_e = list(e.alice_out) + list(e.bob_out) + ["Rp"]
                 mats.append(reduced_density(run(e, probe_e).final_state, keep_e).matrix)

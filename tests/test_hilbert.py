@@ -421,6 +421,19 @@ class TestPermutationStage:
         else:
             assert np.array_equal(got, want)
 
+    def test_dense_state_moves_rows_without_the_dense_view(self):
+        state = random_state_vector([("a", 4, ALICE), ("b", 64, BOB), ("c", 3, BOB)], 24)
+        perm = np.random.default_rng(25).permutation(64)
+        regs = (Register("b", 64),), (Register("x", 64),)
+        stage = UnitaryOp.permutation(perm, *regs).stages[0]
+        twin = Stage(UnitaryOp.permutation(perm, *regs).stages[0].matrix, ("b",), regs[1])
+        order = list(state.system.registers)
+        got, got_order = hilbert._apply_stage_array(state._data(), order, stage)
+        want, want_order = hilbert._apply_stage_array(state._data(), order, twin)
+        assert got_order == want_order
+        assert isinstance(got, np.ndarray) and np.array_equal(got, want)
+        assert "matrix" not in stage.__dict__
+
     def test_dense_view_is_the_permutation_matrix(self):
         u = UnitaryOp.permutation([2, 0, 1], (Register("a", 3),), (Register("b", 3),))
         stage = u.stages[0]

@@ -15,8 +15,6 @@ from qiclab import (
     protocol_step_rates,
     qic_terms,
     redist_rates,
-    rename_protocol,
-    rename_state,
     run,
     validate,
 )
@@ -38,7 +36,7 @@ def _reused_names(p):
     m = p.num_messages
     mapping = {f"M{i}": "MA" if i % 2 else "MB" for i in range(1, m)}
     mapping.update({f"C{i}": "C" for i in range(1, m + 1)})
-    q = rename_protocol(p, mapping)
+    q = p.renamed(mapping)
     assert validate(q) == []
     return q
 
@@ -161,7 +159,7 @@ class TestLastLedgerMemo:
         qic_terms(p, rho)
         qic_terms(p, rho, max_dim=dim)
         qic_terms(dataclasses.replace(p), rho)
-        qic_terms(p, rename_state(rho, {}))
+        qic_terms(p, rho.renamed({}))
         qic_terms(p, random_input_density(p, 7))
         qic_terms(p, rho)
         assert len(run_calls) == 6

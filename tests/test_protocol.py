@@ -40,7 +40,6 @@ from qiclab.fuzz import (
     random_state_vector,
 )
 from qiclab.fileio import protocol_to_obj
-from qiclab.protocol import rename_protocol, rename_state
 
 
 def empty_state():
@@ -497,20 +496,20 @@ class TestNfoldError:
 
 
 class TestRenameAndInputs:
-    def test_rename_state_is_physical_identity(self):
+    def test_renamed_density_is_physical_identity(self):
         rho = random_input_density(random_protocol(2, 2), 3)
-        renamed = rename_state(rho, {"Xa1": "left", "Yb1": "right"})
+        renamed = rho.renamed({"Xa1": "left", "Yb1": "right"})
         assert set(renamed.system.names) == {"left", "right"}
         assert np.array_equal(renamed.matrix, rho.matrix)
 
-    def test_rename_protocol_round_trip(self):
+    def test_renamed_protocol_round_trip(self):
         p = parallel_compose(random_protocol(6, 4), random_protocol(7, 2))
         names = sorted(p.all_names)
         mapping = {n: f"x{k}" for k, n in enumerate(names) if k % 3}
-        q = rename_protocol(p, mapping)
+        q = p.renamed(mapping)
         assert not set(mapping) & q.all_names
         assert validate(q) == []
-        back = rename_protocol(q, {v: k for k, v in mapping.items()})
+        back = q.renamed({v: k for k, v in mapping.items()})
         assert protocol_to_obj(back) == protocol_to_obj(p)
 
     def test_wrong_input_registers_rejected(self):

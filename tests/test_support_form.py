@@ -29,7 +29,6 @@ from qiclab import (
 )
 from qiclab import hilbert
 from qiclab.fuzz import random_input_density, random_protocol
-from qiclab.protocol import rename_state
 
 ALL_SUPPORT = 0  # every state, however full, takes the support form
 ALL_DENSE = 2 ** 40  # no state does (and the count stays in int64)
@@ -73,11 +72,11 @@ class TestForms:
         st_ = _sparse_vector([("a", 4, ALICE), ("b", 5, BOB)], 2)
         for other in (
             st_.with_holders({"a": BOB}),
-            rename_state(st_, {"a": "x"}),
+            st_.renamed({"a": "x"}),
             st_.renamed({"b": "y"}),
         ):
             assert other._coords is st_._coords
-        assert rename_state(st_, {"a": "x"}).system.names == ("x", "b")
+        assert st_.renamed({"a": "x"}).system.names == ("x", "b")
 
     def test_tensor_of_supports_matches_kron(self):
         x = _sparse_vector([("a", 4, ALICE), ("b", 3, BOB)], 3)
