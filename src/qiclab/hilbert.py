@@ -10,10 +10,12 @@ and their values. States with many zero amplitudes (classical copies,
 zero padding, selector registers) take the support form, so tensor
 products, stage application, the partial trace and the entropy kernel in
 :mod:`qiclab.measures` work on the nonzero amplitudes only and never on
-an array of the full dimension. Each of those sees a state as a
-(registers, rest) matrix through one helper, :func:`_support_matrix`:
-a transpose of a dense array, a gather from the coordinates of a
-support-form one.
+an array of the full dimension. Stage application and the partial trace
+see a state as a (registers, rest) matrix through one helper,
+:func:`_support_matrix`: a transpose of a dense array, a gather from the
+coordinates of a support-form one. The entropy kernel sees the same
+matrix through :func:`_support_blocks`, as the direct sum of its
+connected blocks.
 
 Basis convention: registers are ordered and the leftmost register is the
 most significant index; matrices are row-major over that ordering.
@@ -609,6 +611,65 @@ def _support_matrix(data, row_axes: Sequence[int]):
     m = np.zeros((rows.size, cols.size), dtype=data.vals.dtype)
     m[r, c] = data.vals
     return rows, cols, m
+
+
+def _support_blocks(data, row_axes: Sequence[int]) -> list[np.ndarray]:
+    """The (``row_axes``, other axes) matrix of an array as its direct-sum blocks.
+
+    A dense array gives one block, its whole :func:`_support_matrix`. A
+    :class:`_Coords` array gives one block per connected component of the
+    matrix's exact nonzero pattern (rows and columns joined by an entry),
+    cut to that component's rows and columns. Up to a permutation of rows
+    and columns the support matrix is the direct sum of these blocks, so
+    M M^dagger is the direct sum of their Gram matrices. No threshold
+    enters, and the support matrix itself is never built: each block is
+    gathered from the coordinates into one buffer sized by the blocks.
+    """
+    if not isinstance(data, _Coords):
+        return [_support_matrix(data, row_axes)[2]]
+    r, c = _split_index(data, row_axes)
+    r = np.unique(r, return_inverse=True)[1]
+    c = np.unique(c, return_inverse=True)[1]
+    n_rows, n_cols = int(r.max()) + 1, int(c.max()) + 1
+    # label propagation: each row takes the least row label two hops away,
+    # then follows its label's label to a fixed point. A label is always a
+    # row of the same component, and at the fixed point it is the least one.
+    label = np.arange(n_rows)
+    while True:
+        via_col = np.full(n_cols, n_rows)
+        np.minimum.at(via_col, c, label[r])
+        new = label.copy()
+        np.minimum.at(new, r, via_col[c])
+        while True:
+            hop = new[new]
+            if np.array_equal(hop, new):
+                break
+            new = hop
+        if np.array_equal(new, label):
+            break
+        label = new
+    row_comp = np.unique(label, return_inverse=True)[1]
+    col_comp = np.empty(n_cols, dtype=row_comp.dtype)
+    col_comp[c] = row_comp[r]
+    comp = row_comp[r]
+    # each row's and column's position within its component, in index order
+    n_blocks = int(row_comp.max()) + 1
+    local = []
+    for member in (row_comp, col_comp):
+        count = np.bincount(member, minlength=n_blocks)
+        order = np.argsort(member, kind="stable")
+        pos = np.empty_like(member)
+        pos[order] = np.arange(member.size) - np.repeat(np.cumsum(count) - count, count)
+        local.append((count, pos))
+    (height, row_pos), (width, col_pos) = local
+    size = height * width
+    start = np.cumsum(size) - size
+    buf = np.zeros(int(size.sum()), dtype=data.vals.dtype)
+    buf[start[comp] + row_pos[r] * width[comp] + col_pos[c]] = data.vals
+    return [
+        buf[s : s + h * w].reshape(h, w)
+        for s, h, w in zip(start.tolist(), height.tolist(), width.tolist())
+    ]
 
 
 def _split_index(data: _Coords, row_axes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:

@@ -4,11 +4,13 @@ All logarithms are base 2 and 0 log 0 = 0. Entropies of subsystems of a
 pure global state are evaluated on the smaller side of the bipartition,
 using the fact that both sides of a pure state share a spectrum; that
 side's spectrum is the eigenvalue list of its Gram matrix M M^dagger.
-M comes from :func:`qiclab.hilbert._support_matrix`, the helper that
-stage application and the partial trace share: for a state in support
-form it is cut to its exactly-nonzero rows and columns, which leaves the
-nonzero spectrum unchanged and shrinks the Gram matrix of states with
-many zero amplitudes (classical copies, padding, selector registers).
+M comes from :func:`qiclab.hilbert._support_blocks` as a direct sum of
+blocks. A dense state is one block. A state in support form splits into
+the connected components of M's exact nonzero pattern, each cut to its
+exactly-nonzero rows and columns, and the spectrum is the union of the
+blocks' Gram spectra. The split is exact (no threshold) and shrinks the
+Gram matrices of states with many zero amplitudes: classical copies,
+padding, and the selector registers of direct sums such as slot averaging.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .hilbert import (
     StateVector,
     _eigvalsh,
     _prod,
-    _support_matrix,
+    _support_blocks,
     reduced_density,
 )
 
@@ -61,32 +63,42 @@ def _entropy_from_spectrum(w: np.ndarray, tol: float = TOL_PSD) -> tuple[float, 
 
 
 def _pure_subsystem_spectrum(state: StateVector, subsystem: Sequence[str]) -> np.ndarray:
-    """Spectrum of a reduction of a pure state, via the smaller side.
+    """Spectrum of a reduction of a pure state, via the smaller side, block by block.
 
     The eigenvalues of the Gram matrix M M^dagger of the (side, rest)
     bipartition matrix M are the squared singular values of M. M comes
-    from :func:`_support_matrix`, cut to its support for a support-form state:
-    exactly-zero rows only add zero eigenvalues and exactly-zero columns
-    leave M M^dagger unchanged, so dropping them (no threshold) is exact.
-    The Gram matrix is formed on the smaller side of M, M M^dagger or
-    M^dagger M, which share their nonzero spectrum. Squaring costs
-    absolute precision near zero only (about machine epsilon per
-    eigenvalue), which the clamp in :func:`_entropy_from_spectrum` absorbs.
+    from :func:`_support_blocks` as a list of blocks. A dense state gives
+    one block, the whole M. A support-form state gives one block per
+    connected component of M's exact nonzero pattern, each cut to its
+    rows and columns: up to a permutation of rows and columns M is their
+    direct sum, so the nonzero spectrum of M M^dagger is the union of the
+    blocks' nonzero spectra. Exactly-zero rows only add zero eigenvalues
+    and exactly-zero columns leave M M^dagger unchanged, so the split uses
+    no threshold and is exact. Each block's Gram matrix is formed on its
+    smaller side, B B^dagger or B^dagger B, which share their nonzero
+    spectrum. Squaring costs absolute precision near zero only (about
+    machine epsilon per eigenvalue), which the clamp in
+    :func:`_entropy_from_spectrum` absorbs.
 
     Error bound, to first order in eps (machine epsilon, unit roundoff
-    eps/2). Let M be n x k on the Gram side n <= k, with ||M||_F = 1. zherk
-    forms each Gram entry as a length-k inner product, so it adds F with
-    ||F||_2 <= ||F||_F <= k (eps/2) ||M||_F^2. zheevd returns the exact
-    spectrum of the computed Gram matrix plus E, ||E||_2 <= p(n) (eps/2)
-    ||G||_2 with ||G||_2 <= 1, taking LAPACK's modestly growing p(n) as n
-    (Householder tridiagonalization, then divide and conquer). By Weyl
-    each eigenvalue moves by at most (k + n) eps/2; the clamp to zero
-    only moves it back toward the true value, which is >= 0. Over n
-    eigenvalues the spectra are T <= n (k + n) eps/4 = c n^2 eps apart
-    in trace distance, c = (1 + k/n)/4, and by Fannes-Audenaert
-    |dH| <= T log2(n - 1) + h2(T). A square M (k = n, as for a state in
-    Schmidt form cut to its support) has c = 1/2: |dH| <= 2.3e-14 bits
-    at n = 2, 5.4e-10 at n = 324.
+    eps/2), per block. Let block b be n_b x k_b on its Gram side
+    n_b <= k_b, with weight f_b = ||B_b||_F^2, the f_b summing to
+    ||M||_F^2 = 1. zherk forms each Gram entry as a length-k_b inner
+    product, so it adds F with ||F||_2 <= ||F||_F <= k_b (eps/2) f_b.
+    zheevd returns the exact spectrum of the computed Gram matrix plus E,
+    ||E||_2 <= p(n_b) (eps/2) ||G||_2 with ||G||_2 <= f_b, taking LAPACK's
+    modestly growing p(n) as n (Householder tridiagonalization, then
+    divide and conquer). By Weyl each of the block's eigenvalues moves by
+    at most (k_b + n_b) f_b eps/2; the clamp to zero only moves it back
+    toward the true value, which is >= 0. Over its n_b eigenvalues block b
+    moves the spectrum by n_b (k_b + n_b) f_b eps/4 in trace distance, and
+    as the f_b sum to 1 all blocks together move it by
+    T <= max_b n_b (k_b + n_b) eps/4 <= c n^2 eps, with n the largest Gram
+    side over the blocks and c = (1 + r)/4 for r the largest ratio
+    k_b/n_b. By Fannes-Audenaert |dH| <= T log2(N - 1) + h2(T) over the
+    N eigenvalues of all blocks.
+    A square M in one block (k = N = n, as for a dense state in Schmidt
+    form) has c = 1/2: |dH| <= 2.3e-14 bits at n = 2, 5.4e-10 at n = 324.
     """
     system = state.system
     side = system.positions(subsystem)
@@ -97,13 +109,15 @@ def _pure_subsystem_spectrum(state: StateVector, subsystem: Sequence[str]) -> np
         side = [i for i in range(len(dims)) if i not in taken]
     if not side:
         return np.array([1.0])
-    m = _support_matrix(state._data(), side)[2]
-    # herk on the Fortran-ordered view m.T forms the conjugate of m m^dagger
-    # (trans=2) or of m^dagger m (trans=0), whichever is smaller, without
-    # copying a C-ordered m; only the upper triangle is filled
-    trans = 2 if m.shape[0] <= m.shape[1] else 0
-    gram = zherk(1.0, m.T, trans=trans)
-    return _eigvalsh(gram, lower=0, overwrite=True)
+    spectra = []
+    for m in _support_blocks(state._data(), side):
+        # herk on the Fortran-ordered view m.T forms the conjugate of m m^dagger
+        # (trans=2) or of m^dagger m (trans=0), whichever is smaller, without
+        # copying a C-ordered m; only the upper triangle is filled
+        trans = 2 if m.shape[0] <= m.shape[1] else 0
+        gram = zherk(1.0, m.T, trans=trans)
+        spectra.append(_eigvalsh(gram, lower=0, overwrite=True))
+    return np.concatenate(spectra)
 
 
 def _subsystem_spectrum(state, subsystem: Sequence[str]) -> np.ndarray:

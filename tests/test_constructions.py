@@ -29,9 +29,11 @@ from qiclab import (
     trace_norm,
     validate,
 )
+from qiclab import measures
 from qiclab.constructions import _slot_routing_rows
-from qiclab.fuzz import random_input_density, random_protocol
+from qiclab.fuzz import random_input_density, random_protocol, rng_from
 
+from test_measures import _component_shapes, _gram_sides
 from test_protocol import correlated_bit_protocol, empty_state
 
 
@@ -408,6 +410,38 @@ class TestSlotAveraging:
             preshared_dims=(1, 1),
         )
         return and_average_protocol(pd, np.array([[1.0, 1.0], [1.0, 0.0]]) / 3.0, n)
+
+    def test_three_slot_halving_identity(self, monkeypatch):
+        # QIC(avg_3, mu) = QIC(pd, mu^{x3}) / 3; every Gram matrix of the
+        # 5,159,780,352-dimensional steps is one direct-sum block's
+        pd = random_protocol(
+            rng_from(3), 2, alice_in_dims=(2,) * 3, bob_in_dims=(2,) * 3, preshared_dims=(1, 1)
+        )
+        _, mu = self._base()
+        pa = and_average_protocol(pd, mu, 3)
+        sigma = classical_state(
+            mu, [(pa.alice_in[0].name, 2, ALICE), (pa.bob_in[0].name, 2, BOB)]
+        )
+        sides = _gram_sides(monkeypatch)
+        calls = []
+        kernel = measures._pure_subsystem_spectrum
+
+        def spy(state, subsystem):
+            before = len(sides)
+            w = kernel(state, subsystem)
+            largest = max((min(s) for s in _component_shapes(state, subsystem)), default=0)
+            calls.append((max(sides[before:], default=0), largest))
+            return w
+
+        monkeypatch.setattr(measures, "_pure_subsystem_spectrum", spy)
+        lhs = qic(pa, sigma, max_dim=2**62)
+        assert calls and all(side == largest for side, largest in calls)
+        assert max(side for side, _ in calls) <= 144  # of matrices up to 4536 x 2592, 3024 x 9072
+        c1, c2, c3 = (
+            canonical_classical_purification(mu, f"Xa{i}", f"Yb{i}", f"Rc{i}") for i in (1, 2, 3)
+        )
+        rhs = qic(pd, tensor(tensor(c1, c2), c3)) / 3
+        assert abs(lhs - rhs) < 1e-5
 
     def test_three_slots_run_on_their_supports(self):
         # 5,159,780,352 amplitudes globally; the routers move only the support

@@ -4,7 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 from scipy.linalg import svdvals
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.special import xlogy
 
 from qiclab import (
@@ -22,11 +26,17 @@ from qiclab import (
     entropy,
     entropy_report,
     mutual_info,
+    run,
     tensor,
     trace_distance,
 )
 from qiclab import hilbert, measures
-from qiclab.fuzz import random_density_operator, random_state_vector
+from qiclab.fuzz import (
+    random_density_operator,
+    random_input_density,
+    random_protocol,
+    random_state_vector,
+)
 from qiclab.measures import _entropy_from_spectrum, trace_norm
 
 
@@ -201,6 +211,31 @@ def _support_side(st, keep):
     return min(int(nz.any(axis=1).sum()), int(nz.any(axis=0).sum()))
 
 
+def _component_shapes(st, keep):
+    """(rows, columns) of each connected component of the (keep, rest)
+    matrix's nonzero pattern, from the support's digits and scipy's graph
+    components; none when either side has no registers."""
+    dims = st.system.dims
+    side = st.system.positions(keep)
+    rest = [i for i in range(len(dims)) if i not in side]
+    if not side or not rest:
+        return []
+    digits = np.unravel_index(st._support()[0], dims)
+    r, c = (
+        np.unique(
+            np.ravel_multi_index([digits[i] for i in axes], [dims[i] for i in axes]),
+            return_inverse=True,
+        )[1]
+        for axes in (side, rest)
+    )
+    n_rows, n = int(r.max()) + 1, int(r.max() + c.max()) + 2
+    graph = coo_matrix((np.ones(r.size), (r, n_rows + c)), shape=(n, n))
+    k, label = connected_components(graph, directed=False)
+    rows = np.bincount(label[:n_rows], minlength=k)
+    cols = np.bincount(label[n_rows:], minlength=k)
+    return list(zip(rows.tolist(), cols.tolist()))
+
+
 def _gram_sides(monkeypatch):
     """Record the side of every matrix handed to the eigenvalue kernel."""
     sides = []
@@ -252,6 +287,46 @@ def _schmidt_state(weights, seed):
     u, v = unitaries
     amps = (u * np.sqrt(weights)) @ v.T
     system = RegisterSystem.make([("A", d, ALICE), ("B", d, BOB)])
+    return StateVector(system, amps.reshape(-1))
+
+
+def _in_both_forms(st):
+    """The same amplitudes held as a dense array and in support form."""
+    held = []
+    for ratio in (2 ** 40, 0):  # no array takes the support form; every array does
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hilbert, "_SUPPORT_RATIO", ratio)
+            held.append(StateVector._unchecked(st.system, st.amplitudes))
+    assert held[0]._coords is None and held[1]._coords is not None
+    return held
+
+
+def _assert_both_sides_match_svd(st, keep):
+    """Entropy of ``keep`` and of its complement against the SVD reference,
+    with the state held in both forms."""
+    ref = _svd_entropy(st, keep)
+    comp = [n for n in st.system.names if n not in keep]
+    for held in _in_both_forms(st):
+        assert abs(entropy(held, keep) - ref) < 1e-12
+        assert abs(entropy(held, comp) - ref) < 1e-12
+
+
+def _shuffled_direct_sum(dims, n_blocks, seed):
+    """Pure state whose (a1 a2, b1 b2) matrix is a direct sum of random
+    blocks: each row and column joins a random block or stays empty, so the
+    blocks interleave. The registers are stored in the order b1, a1, b2, a2."""
+    a1, a2, b1, b2 = dims
+    rng = np.random.default_rng(seed)
+    row_block = rng.integers(-1, n_blocks, a1 * a2)
+    col_block = rng.integers(-1, n_blocks, b1 * b2)
+    row_block[0] = col_block[0] = 0  # never all zero
+    same = (row_block[:, None] == col_block[None, :]) & (row_block[:, None] >= 0)
+    m = np.where(same, rng.standard_normal(same.shape) + 1j * rng.standard_normal(same.shape), 0)
+    m /= np.linalg.norm(m)
+    amps = m.reshape(a1, a2, b1, b2).transpose(2, 0, 3, 1)
+    system = RegisterSystem.make(
+        [("b1", b1, BOB), ("a1", a1, ALICE), ("b2", b2, BOB), ("a2", a2, ALICE)]
+    )
     return StateVector(system, amps.reshape(-1))
 
 
@@ -331,9 +406,52 @@ class TestGramKernel:
         cases = [(padded, ["z", "x", "b"]), (padded, ["r", "y"]), (_tall_support_state(), ["a"])]
         sides = _gram_sides(monkeypatch)
         for st, keep in cases:
+            sides.clear()
             entropy(st, keep)
-            assert sides[-1] == _support_side(st, keep)
-            assert sides[-1] < min(_keep_matrix(st, keep).shape)
+            shapes = _component_shapes(st, keep)
+            largest = max(min(shape) for shape in shapes)
+            assert max(sides) == largest
+            if len(shapes) > 1:
+                assert largest < _support_side(st, keep)
+            else:
+                assert largest == _support_side(st, keep)
+            assert largest < min(_keep_matrix(st, keep).shape)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=hs.integers(0, 2 ** 31 - 1),
+        messages=hs.sampled_from([2, 4]),
+        alice_dims=hs.lists(hs.integers(1, 3), min_size=1, max_size=2),
+        bob_dims=hs.lists(hs.integers(1, 3), min_size=1, max_size=2),
+        preshared=hs.sampled_from([(1, 1), (2, 1), (2, 2)]),
+        classical=hs.booleans(),
+        data=hs.data(),
+    )
+    def test_step_states_of_random_protocols_match_svd(
+        self, seed, messages, alice_dims, bob_dims, preshared, classical, data
+    ):
+        p = random_protocol(
+            seed, messages, alice_in_dims=alice_dims, bob_in_dims=bob_dims,
+            preshared_dims=preshared,
+        )
+        traj = run(p, random_input_density(p, seed, classical=classical))
+        for st in traj.steps + (traj.final_state,):
+            names = st.system.names
+            mask = data.draw(hs.integers(0, 2 ** len(names) - 1))
+            _assert_both_sides_match_svd(st, [n for i, n in enumerate(names) if mask >> i & 1])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dims=hs.tuples(*[hs.integers(1, 4)] * 4),
+        n_blocks=hs.integers(1, 6),
+        seed=hs.integers(0, 2 ** 31 - 1),
+        mask=hs.integers(0, 15),
+    )
+    def test_shuffled_direct_sums_match_svd(self, dims, n_blocks, seed, mask):
+        st = _shuffled_direct_sum(dims, n_blocks, seed)
+        _assert_both_sides_match_svd(st, ["a1", "a2"])
+        names = st.system.names
+        _assert_both_sides_match_svd(st, [n for i, n in enumerate(names) if mask >> i & 1])
 
     def test_tiny_amplitude_row_is_kept(self, monkeypatch):
         # row 2's only amplitude is 1e-150; row 3 and column 3 are exactly zero
@@ -345,7 +463,7 @@ class TestGramKernel:
         )
         sides = _gram_sides(monkeypatch)
         rep = entropy_report(st, ["A"])
-        assert sides == [3]
+        assert sides == [1, 1, 1]
         assert abs(rep.value - _svd_entropy(st, ["A"])) < 1e-10
         assert rep.spectrum_floor == pytest.approx(1e-300, rel=1e-12)
 
