@@ -25,7 +25,7 @@ from qiclab import (
     tensor,
     validate,
 )
-from qiclab.fuzz import random_protocol, rng_from
+from qiclab.fuzz import random_protocol
 
 # a random 2-message protocol with two single-bit slots per party and no
 # pre-shared entanglement (keeps the averaged simulation tractable)
@@ -63,10 +63,10 @@ print(f"halving identity: {lhs:.10f} vs {rhs / 2:.10f}"
 # three slots: the instance is routed into one of three slots, so each
 # entropy splits into the blocks of that direct sum and stays small.
 # max_dim bounds the global dimension, here 5,159,780,352, although the
-# states hold at most 419,904 nonzero amplitudes; ROADMAP item 3 makes it
-# bound what a run materializes instead.
+# states hold at most 419,904 nonzero amplitudes; ROADMAP item 3 is to
+# make it bound what a run materializes instead.
 base3 = random_protocol(
-    rng_from(3), 2, alice_in_dims=(2,) * 3, bob_in_dims=(2,) * 3, preshared_dims=(1, 1)
+    3, 2, alice_in_dims=(2,) * 3, bob_in_dims=(2,) * 3, preshared_dims=(1, 1)
 )
 averaged3 = and_average_protocol(base3, mu, 3)
 sigma3 = classical_state(

@@ -31,7 +31,7 @@ from qiclab import (
 )
 from qiclab import measures
 from qiclab.constructions import _slot_routing_rows
-from qiclab.fuzz import random_input_density, random_protocol, rng_from
+from qiclab.fuzz import random_input_density, random_protocol
 
 from test_measures import _component_shapes, _gram_sides
 from test_protocol import correlated_bit_protocol, empty_state
@@ -415,7 +415,7 @@ class TestSlotAveraging:
         # QIC(avg_3, mu) = QIC(pd, mu^{x3}) / 3; every Gram matrix of the
         # 5,159,780,352-dimensional steps is one direct-sum block's
         pd = random_protocol(
-            rng_from(3), 2, alice_in_dims=(2,) * 3, bob_in_dims=(2,) * 3, preshared_dims=(1, 1)
+            3, 2, alice_in_dims=(2,) * 3, bob_in_dims=(2,) * 3, preshared_dims=(1, 1)
         )
         _, mu = self._base()
         pa = and_average_protocol(pd, mu, 3)
