@@ -172,11 +172,13 @@ def failure_probability(
     marg = np.diag(output.matrix).real.reshape(d_aout, d_bout, -1)
     # the reference enumerates the support of mu in diagonal order
     support_points = np.nonzero(mu.reshape(-1) > TOL_PSD)[0]
-    correct = 0.0
+    right = np.zeros(marg.shape, dtype=bool)
     for k, z in enumerate(support_points):
         xi, yi = divmod(int(z), d_b)
-        correct += marg[int(fp.f_a[xi, yi]), int(fp.f_b[xi, yi]), k]
-    return float(max(0.0, min(1.0, 1.0 - correct)))
+        right[int(fp.f_a[xi, yi]), int(fp.f_b[xi, yi]), k] = True
+    # the weight on wrong outputs, summed as it is: one minus the weight on
+    # right outputs would leave the rounding of the input's normalization
+    return float(max(0.0, min(1.0, marg[~right].sum())))
 
 
 # ---------------------------------------------------------------------------

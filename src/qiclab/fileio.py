@@ -35,6 +35,7 @@ from .hilbert import (
     StateVector,
     DensityOperator,
     UnitaryOp,
+    _norm,
     _require_finite,
 )
 from .classical import ClassicalFunctionPair, ClassicalProtocol
@@ -214,7 +215,7 @@ def obj_to_state(obj: dict, where: str = "state", tol: float | None = None):
                 f"{system.total_dim}"
             )
         _require_finite(amps, "amplitude vector")
-        nrm = float(np.linalg.norm(amps))
+        nrm = _norm(amps)
         if abs(nrm - 1.0) > tol:
             raise FileFormatError(
                 f"{where}.amplitudes: norm {nrm} deviates from 1 beyond tolerance {tol}"

@@ -20,6 +20,9 @@ from .hilbert import (
     RegisterSystem,
     StateVector,
     UnitaryOp,
+    _dot,
+    _eigh,
+    _norm,
     _prod,
     channel_from_kraus,
     classical_state,
@@ -38,7 +41,7 @@ def random_state_vector(specs: Sequence[tuple[str, int, Holder]], seed) -> State
     system = RegisterSystem.make(specs)
     d = system.total_dim
     z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    return StateVector(system, z / np.linalg.norm(z))
+    return StateVector(system, z / _norm(z))
 
 def random_density_operator(
     specs: Sequence[tuple[str, int, Holder]], seed, rank: int | None = None
@@ -49,7 +52,7 @@ def random_density_operator(
     d = system.total_dim
     k = rank or d
     g = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
-    m = g @ g.conj().T
+    m = _dot(g, g, trans_b=2)
     return DensityOperator(system, m / np.trace(m).real)
 
 
@@ -78,10 +81,10 @@ def random_kraus_channel(
         rng.standard_normal((d_out, d_in)) + 1j * rng.standard_normal((d_out, d_in))
         for _ in range(n_kraus)
     ]
-    s = sum(g.conj().T @ g for g in gs)
-    w, v = np.linalg.eigh(s)
-    s_inv_sqrt = (v * (1.0 / np.sqrt(w))) @ v.conj().T
-    ks = [g @ s_inv_sqrt for g in gs]
+    s = sum(_dot(g, g, trans_a=2) for g in gs)
+    w, v = _eigh(s, vectors=True)
+    s_inv_sqrt = _dot(v * (1.0 / np.sqrt(w)), v, trans_b=2)
+    ks = [_dot(g, s_inv_sqrt) for g in gs]
     return channel_from_kraus(ks, in_regs, out_regs)
 
 

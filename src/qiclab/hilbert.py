@@ -17,6 +17,17 @@ coordinates of a support-form one. The entropy kernel sees the same
 matrix through :func:`_support_blocks`, as the direct sum of its
 connected blocks.
 
+One BLAS library: every matrix product, norm and eigen or QR solve runs in
+scipy's bundled OpenBLAS, through :func:`_dot` (``zgemm``), :func:`_norm`
+(``dznrm2``), :func:`_eigh` (``zheevd``) and ``scipy.linalg``. numpy
+bundles an OpenBLAS of its own with its own thread pool. With more than
+one BLAS thread (the default is one per core) a process that alternates
+small kernels between the two pools runs them several times slower: the
+slot-averaging checks' eigenvalue calls took 0.73 s instead of 0.08 s
+at two threads while stage products ran in numpy's pool. So the package
+makes no numpy product (``@``, ``dot``) or ``numpy.linalg`` call; a test
+walks the sources for them.
+
 Basis convention: registers are ordered and the leftmost register is the
 most significant index; matrices are row-major over that ordering.
 """
@@ -31,6 +42,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import dznrm2, zgemm
 from scipy.linalg.lapack import zheevd, zheevd_lwork
 
 TOL_NORM = 1e-9
@@ -206,20 +218,54 @@ class RegisterSystem:
     renamed = _renamed_fields
 
 
-def _eigvalsh(a: np.ndarray, lower: int = 1, overwrite: bool = False) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix from LAPACK ``zheevd``.
+def _eigh(a: np.ndarray, vectors: bool = False, lower: int = 1, overwrite: bool = False):
+    """Ascending eigenvalues of a Hermitian matrix from LAPACK ``zheevd``,
+    with ``vectors`` also its eigenvectors as the columns of a second array.
 
-    The one eigenvalue-only solver: numpy's ``eigvalsh`` checks cost more
-    than the routine on small matrices. Reads the lower triangle, as numpy
-    does (``lower=0``: the upper). The workspace is the optimal one
+    The one eigen solver: numpy's ``eigvalsh`` checks cost more than the
+    routine on small matrices. Reads the lower triangle, as numpy does
+    (``lower=0``: the upper). The workspaces are the optimal ones
     ``zheevd_lwork`` reports; the minimal default forces an unblocked
     reduction. ``overwrite`` is only for a temporary the caller made.
     """
-    lwork = int(zheevd_lwork(a.shape[0], compute_v=0, lower=lower)[0].real)
-    w, _, info = zheevd(a, compute_v=0, lower=lower, lwork=lwork, overwrite_a=overwrite)
+    cv = int(vectors)
+    work, iwork, rwork, _ = zheevd_lwork(a.shape[0], compute_v=cv, lower=lower)
+    w, v, info = zheevd(
+        a, compute_v=cv, lower=lower, lwork=int(work.real), liwork=iwork,
+        lrwork=int(rwork), overwrite_a=overwrite,
+    )
     if info != 0:
         raise np.linalg.LinAlgError(f"Eigenvalues did not converge (zheevd info={info})")
-    return w
+    return (w, v) if vectors else w
+
+
+def _gemm_operand(x: np.ndarray, trans: int) -> tuple[np.ndarray, int]:
+    # x enters zgemm as op'(y) = op(x)^T: a C-ordered x as its Fortran-ordered
+    # view x.T under the same op; a Fortran-ordered x as itself, the transpose
+    # flag flipped. The wrapper copies only a conjugated Fortran-ordered x, a
+    # strided view or a real x.
+    if x.flags.c_contiguous or trans == 2 or not x.flags.f_contiguous:
+        return x.T, trans
+    return x, 1 - trans
+
+
+def _dot(a: np.ndarray, b: np.ndarray, trans_a: int = 0, trans_b: int = 0) -> np.ndarray:
+    """The complex matrix product op(a) op(b), C-ordered, from BLAS ``zgemm``.
+
+    op is the identity (0), the transpose (1) or the conjugate transpose
+    (2), as BLAS numbers them. zgemm is column-major, so it forms
+    op(b)^T op(a)^T = (op(a) op(b))^T from the operands' transposed
+    views, and that result read transposed is the product in C order. No
+    C-ordered complex operand is copied, nor a Fortran-ordered one that
+    op does not conjugate.
+    """
+    (y, ty), (x, tx) = _gemm_operand(b, trans_b), _gemm_operand(a, trans_a)
+    return zgemm(1.0, y, x, trans_a=ty, trans_b=tx).T
+
+
+def _norm(x: np.ndarray) -> float:
+    """The Euclidean norm of a complex vector, from BLAS ``dznrm2``."""
+    return float(dznrm2(x))
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -286,7 +332,7 @@ class StateVector:
                 f"system dimension is {system.total_dim}"
             )
         _require_finite(amps, "amplitude vector")
-        nrm = np.linalg.norm(amps)
+        nrm = _norm(amps)
         if abs(nrm - 1.0) > TOL_NORM:
             raise StateValidationError(f"state norm {nrm} deviates from 1 beyond {TOL_NORM}")
         self._hold(system, amps)
@@ -352,7 +398,7 @@ class StateVector:
     @property
     def norm(self) -> float:
         vals = self._amps if self._coords is None else self._coords.vals
-        return float(np.linalg.norm(vals))
+        return _norm(vals)
 
     def with_holders(self, mapping: Mapping[str, Holder]) -> "StateVector":
         return self._with_system(self.system.with_holders(mapping))
@@ -423,7 +469,7 @@ class Stage:
             raise ValueError("stage matrix must be square")
         self._set_block(mat.shape[0], in_names, out_regs)
         _require_finite(mat, "stage matrix")
-        err = np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])))
+        err = np.max(np.abs(_dot(mat, mat, trans_a=2) - np.eye(mat.shape[0])))
         if err > TOL_UNITARY:
             raise StateValidationError(f"stage matrix not unitary: deviation {err}")
         self.__dict__.update(perm=None, matrix=_freeze(np.array(mat)))
@@ -714,10 +760,10 @@ def _apply_stage_array(data, order: list[Register], st: Stage):
         moved[st.perm] = m
         new = moved.reshape(out_shape)
     elif not isinstance(data, _Coords):
-        new = (st.matrix @ _support_matrix(data, idx)[2]).reshape(out_shape)
+        new = _dot(st.matrix, _support_matrix(data, idx)[2]).reshape(out_shape)
     else:
         rows, cols, m = _support_matrix(data, idx)
-        prod = st.matrix[:, rows] @ m
+        prod = _dot(st.matrix[:, rows], m)
         at = np.flatnonzero(prod)
         # flat index out_row * |rest| + col, ascending since cols is sorted
         out_row, j = np.divmod(at, prod.shape[1])
@@ -844,7 +890,7 @@ def reduced_density(state, keep: Sequence[str]) -> DensityOperator:
     sub = system.subsystem(keep)
     if isinstance(state, StateVector):
         rows, _, m = _support_matrix(state._data(), system.positions(keep))
-        gram = m @ m.conj().T
+        gram = _dot(m, m, trans_b=2)
         if rows is not None:
             full = np.zeros((sub.total_dim,) * 2, dtype=complex)
             full[np.ix_(rows, rows)] = gram
@@ -875,7 +921,7 @@ def purify(rho: DensityOperator, ref_name: str = "R") -> StateVector:
     """
     if ref_name in rho.system.names:
         raise ValueError(f"reference name {ref_name!r} collides with an existing register")
-    w, v = np.linalg.eigh(rho.matrix)
+    w, v = _eigh(rho.matrix, vectors=True)
     if w[0] < -TOL_PSD:
         raise StateValidationError(f"state not PSD: eigenvalue {w[0]}")
     kept = w > TOL_PSD
@@ -885,7 +931,7 @@ def purify(rho: DensityOperator, ref_name: str = "R") -> StateVector:
     if rank == 0:
         raise StateValidationError("state has no spectral weight above tolerance")
     amps = (v * np.sqrt(w)).reshape(-1)  # index = (system basis) * rank + k
-    amps = amps / np.linalg.norm(amps)
+    amps = amps / _norm(amps)
     system = RegisterSystem(
         rho.system.registers + (Register(ref_name, rank),),
         rho.system.holders + (REFERENCE,),
@@ -932,7 +978,7 @@ def canonical_purification(rho: DensityOperator, ref_name: str = "R") -> StateVe
     support = np.flatnonzero(diag > TOL_PSD)
     s = int(support.size)
     vals = np.sqrt(diag[support]).astype(complex)
-    vals /= np.linalg.norm(vals)
+    vals /= _norm(vals)
     system = RegisterSystem(
         rho.system.registers + (Register(ref_name, s),),
         rho.system.holders + (REFERENCE,),
@@ -1082,7 +1128,7 @@ class ChannelOp:
     def check(self, tol: float = TOL_PSD) -> None:
         """Verify complete positivity and trace preservation via the Choi matrix."""
         choi = self.choi_matrix()
-        w = _eigvalsh(choi)
+        w = _eigh(choi)
         if w[0] < -tol * max(1.0, choi.shape[0]):
             raise StateValidationError(f"Choi matrix not PSD: eigenvalue {w[0]}")
         d_in = _prod(r.dim for r in self.in_regs)
@@ -1124,7 +1170,7 @@ def channel_from_kraus(
     for k in ks:
         if k.shape != (d_out, d_in):
             raise ValueError(f"Kraus operator shape {k.shape}, expected {(d_out, d_in)}")
-    comp = sum(k.conj().T @ k for k in ks)
+    comp = sum(_dot(k, k, trans_a=2) for k in ks)
     if np.max(np.abs(comp - np.eye(d_in))) > check_tol:
         raise StateValidationError("Kraus completeness violated")
     n_env = len(ks)
@@ -1165,7 +1211,7 @@ def haar_random_unitary(dim: int, seed) -> np.ndarray:
         raise ValueError("dimension must be positive")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / math.sqrt(2)
-    q, r = np.linalg.qr(z)
+    q, r = scipy.linalg.qr(z)
     d = np.diag(r)
     q = q * (d / np.abs(d))
     return q

@@ -27,7 +27,7 @@ from .hilbert import (
     DensityOperator,
     StateValidationError,
     StateVector,
-    _eigvalsh,
+    _eigh,
     _prod,
     _support_blocks,
     reduced_density,
@@ -116,7 +116,7 @@ def _pure_subsystem_spectrum(state: StateVector, subsystem: Sequence[str]) -> np
         # copying a C-ordered m; only the upper triangle is filled
         trans = 2 if m.shape[0] <= m.shape[1] else 0
         gram = zherk(1.0, m.T, trans=trans)
-        spectra.append(_eigvalsh(gram, lower=0, overwrite=True))
+        spectra.append(_eigh(gram, lower=0, overwrite=True))
     return np.concatenate(spectra)
 
 
@@ -129,7 +129,7 @@ def _subsystem_spectrum(state, subsystem: Sequence[str]) -> np.ndarray:
             rho = state
         else:
             rho = reduced_density(state, subsystem)
-        return _eigvalsh(rho.matrix)
+        return _eigh(rho.matrix)
     raise TypeError(f"cannot take entropy of {type(state).__name__}")
 
 
@@ -195,7 +195,7 @@ def _aligned_matrix(state, subsystem: Sequence[str]) -> np.ndarray:
 
 def trace_norm(delta: np.ndarray) -> float:
     """Sum of absolute eigenvalues of a Hermitian matrix."""
-    return float(np.abs(_eigvalsh(delta)).sum())
+    return float(np.abs(_eigh(delta)).sum())
 
 
 def trace_distance(state1, state2, subsystem: Sequence[str] | None = None) -> float:

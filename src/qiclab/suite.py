@@ -28,6 +28,7 @@ from .hilbert import (
     Stage,
     StateVector,
     UnitaryOp,
+    _dot,
     channel_from_kraus,
     classical_state,
     canonical_classical_purification,
@@ -372,7 +373,7 @@ def _check_trace_distance(rng, tol):
         worst_ge.add(base, trace_distance(o1, o2), "monotonicity")
         u = fuzz.haar_random_unitary(d, rng)
         worst_eq.add(
-            trace_norm(u @ (r1.matrix - r2.matrix) @ u.conj().T),
+            trace_norm(_dot(_dot(u, r1.matrix - r2.matrix), u, trans_b=2)),
             base,
             "unitary invariance",
         )
