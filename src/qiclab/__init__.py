@@ -33,7 +33,6 @@ from .hilbert import (
     purify,
     reduced_density,
     tensor,
-    tensor_unitaries,
 )
 from .measures import (
     EntropyReport,

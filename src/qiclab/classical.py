@@ -23,7 +23,6 @@ from .hilbert import (
     Register,
     Stage,
     UnitaryOp,
-    _fresh_name,
     _prod,
     _zero_state,
     classical_state,
@@ -107,33 +106,25 @@ def _counter_permutation(fp: ClassicalFunctionPair, out_order: str) -> np.ndarra
     return np.ravel_multi_index([digits[k] for k in out_order], [sizes[k] for k in out_order])
 
 
-def function_channel(
-    fp: ClassicalFunctionPair,
-    alice_in: str = "A_in",
-    bob_in: str = "B_in",
-    alice_out: str = "A_out",
-    bob_out: str = "B_out",
-) -> ChannelOp:
-    """Channel mapping basis input (x, y) to basis output (f_a, f_b).
+def function_channel(fp: ClassicalFunctionPair) -> ChannelOp:
+    """Channel mapping basis input (x, y) on ``A_in``, ``B_in`` to basis
+    output (f_a, f_b) on ``A_out``, ``B_out``; ``renamed`` relabels its legs.
 
     The dilation is a permutation: ancilla counters pick up the function
     values mod the output alphabet while the inputs move to environment
     registers, so tracing the environment dephases superposed inputs.
     """
     x, y, a, b = fp.x_size, fp.y_size, fp.a_size, fp.b_size
-    taken = {alice_in, bob_in, alice_out, bob_out}
-    env_x = _fresh_name(alice_in + "~env", taken)
-    env_y = _fresh_name(bob_in + "~env", taken)
-    anc_a = _fresh_name("Fa", taken)
-    anc_b = _fresh_name("Fb", taken)
-    in_regs = (Register(alice_in, x), Register(bob_in, y))
-    anc_regs = (Register(anc_a, a), Register(anc_b, b))
-    out_regs = (Register(alice_out, a), Register(bob_out, b))
-    env_regs = (Register(env_x, x), Register(env_y, y))
+    in_regs = (Register("A_in", x), Register("B_in", y))
+    anc_regs = (Register("Fa", a), Register("Fb", b))
+    out_regs = (Register("A_out", a), Register("B_out", b))
+    env_regs = (Register("A_in~env", x), Register("B_in~env", y))
     dil = UnitaryOp.permutation(
         _counter_permutation(fp, "abxy"), in_regs + anc_regs, out_regs + env_regs
     )
-    return ChannelOp(in_regs, out_regs, _zero_state(anc_regs, BOB), dil, (env_x, env_y))
+    return ChannelOp(
+        in_regs, out_regs, _zero_state(anc_regs, BOB), dil, ("A_in~env", "B_in~env")
+    )
 
 
 def failure_probability(
@@ -166,9 +157,9 @@ def failure_probability(
     ]
     rho = classical_state(mu.reshape(-1), specs)
     output = run(p, rho, max_dim=max_dim).output
-    if len(output.system.reference_names) != 1:
-        raise RuntimeError("expected a single canonical reference register")
-    # the output keeps Alice's outputs, Bob's outputs, then the reference
+    # the output keeps Alice's outputs, Bob's outputs, then the reference:
+    # the input's canonical purifier, as run gives every other register a party
+    # or tags it in flight
     marg = np.diag(output.matrix).real.reshape(d_aout, d_bout, -1)
     # the reference enumerates the support of mu in diagonal order
     support_points = np.nonzero(mu.reshape(-1) > TOL_PSD)[0]

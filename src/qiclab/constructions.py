@@ -281,7 +281,6 @@ def concavity_check(
     rho1: DensityOperator,
     rho2: DensityOperator,
     prob: float,
-    tolerance: float = 1e-8,
     *,
     max_dim: int = DEFAULT_MAX_DIM,
 ) -> ConcavityReport:
@@ -299,7 +298,7 @@ def concavity_check(
     rhs = prob * qic(p, rho1, max_dim=max_dim) + (1.0 - prob) * qic(
         p, rho2, max_dim=max_dim
     )
-    return ConcavityReport(lhs, rhs, lhs - rhs, tolerance)
+    return ConcavityReport(lhs, rhs, lhs - rhs, 1e-8)
 
 
 def _slot_dims(p: ProtocolSpec) -> tuple[int, int]:

@@ -151,42 +151,34 @@ def random_protocol(
     return builder.build(("Aout",), ("Bout",), slots)
 
 
-def random_input_density(p: ProtocolSpec, seed, *, classical: bool = False, rank: int | None = None) -> DensityOperator:
+def random_input_density(p: ProtocolSpec, seed, *, classical: bool = False) -> DensityOperator:
     """Random input state matching a protocol's input registers."""
     specs = [(r.name, r.dim, ALICE) for r in p.alice_in] + [
         (r.name, r.dim, BOB) for r in p.bob_in
     ]
     if classical:
         return random_classical_density(specs, seed)
-    return random_density_operator(specs, seed, rank=rank)
+    return random_density_operator(specs, seed)
 
 
-def random_classical_protocol(
-    seed,
-    num_messages: int | None = None,
-    *,
-    x_size: int = 2,
-    y_size: int = 2,
-    r_size: int = 2,
-    max_alphabet: int = 3,
-):
-    """Random classical protocol with normalized kernels."""
+def random_classical_protocol(seed, num_messages: int | None = None):
+    """Random classical protocol with normalized kernels: binary inputs and
+    shared randomness, message alphabets of 2 or 3 letters."""
     from .classical import ClassicalProtocol
 
     rng = rng_from(seed)
     n = num_messages or int(rng.integers(1, 5))
-    r_probs = rng.random(r_size)
+    r_probs = rng.random(2)
     r_probs /= r_probs.sum()
     kernels = []
     sizes: list[int] = []
-    for i in range(1, n + 1):
-        m = int(rng.integers(2, max_alphabet + 1))
-        speaker = x_size if i % 2 == 1 else y_size
-        k = rng.random((speaker, *sizes, r_size, m))
+    for _ in range(n):
+        m = int(rng.integers(2, 4))
+        k = rng.random((2, *sizes, 2, m))
         k /= k.sum(axis=-1, keepdims=True)
         kernels.append(k)
         sizes.append(m)
-    return ClassicalProtocol(x_size, y_size, r_probs, tuple(kernels))
+    return ClassicalProtocol(2, 2, r_probs, tuple(kernels))
 
 
 def random_distribution(shape: Sequence[int], seed) -> np.ndarray:

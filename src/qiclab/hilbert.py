@@ -614,14 +614,6 @@ class UnitaryOp:
         return arr.reshape(d, d)
 
 
-def tensor_unitaries(u1: UnitaryOp, u2: UnitaryOp) -> UnitaryOp:
-    """Tensor product of unitaries on disjoint register blocks."""
-    overlap = set(u1.in_names + u1.out_names) & set(u2.in_names + u2.out_names)
-    if overlap:
-        raise ValueError(f"register name collision in tensor: {sorted(overlap)}")
-    return UnitaryOp(u1.in_regs + u2.in_regs, u1.out_regs + u2.out_regs, u1.stages + u2.stages)
-
-
 def chain_unitaries(first: UnitaryOp, second: UnitaryOp) -> UnitaryOp:
     """Apply ``first`` then ``second``; ``second`` may consume outputs of ``first``."""
     current = {r.name: r.dim for r in first.out_regs}
@@ -806,7 +798,10 @@ def tensor(x, y):
             system, np.kron(x.matrix, y.matrix), classical=x.classical and y.classical
         )
     if isinstance(x, UnitaryOp) and isinstance(y, UnitaryOp):
-        return tensor_unitaries(x, y)
+        overlap = set(x.in_names + x.out_names) & set(y.in_names + y.out_names)
+        if overlap:
+            raise ValueError(f"register name collision in tensor: {sorted(overlap)}")
+        return UnitaryOp(x.in_regs + y.in_regs, x.out_regs + y.out_regs, x.stages + y.stages)
     raise TypeError(f"cannot tensor {type(x).__name__} with {type(y).__name__}")
 
 
@@ -1125,11 +1120,11 @@ class ChannelOp:
         out = permute(out, order)
         return out.matrix * d
 
-    def check(self, tol: float = TOL_PSD) -> None:
+    def check(self) -> None:
         """Verify complete positivity and trace preservation via the Choi matrix."""
         choi = self.choi_matrix()
         w = _eigh(choi)
-        if w[0] < -tol * max(1.0, choi.shape[0]):
+        if w[0] < -TOL_PSD * max(1.0, choi.shape[0]):
             raise StateValidationError(f"Choi matrix not PSD: eigenvalue {w[0]}")
         d_in = _prod(r.dim for r in self.in_regs)
         d_out = choi.shape[0] // d_in
@@ -1154,7 +1149,6 @@ def channel_from_kraus(
     kraus: Sequence[np.ndarray],
     in_regs: Sequence[tuple[str, int]],
     out_regs: Sequence[tuple[str, int]],
-    check_tol: float = TOL_EQ,
 ) -> ChannelOp:
     """Unitary extension of a channel given by Kraus operators.
 
@@ -1171,7 +1165,7 @@ def channel_from_kraus(
         if k.shape != (d_out, d_in):
             raise ValueError(f"Kraus operator shape {k.shape}, expected {(d_out, d_in)}")
     comp = sum(_dot(k, k, trans_a=2) for k in ks)
-    if np.max(np.abs(comp - np.eye(d_in))) > check_tol:
+    if np.max(np.abs(comp - np.eye(d_in))) > TOL_EQ:
         raise StateValidationError("Kraus completeness violated")
     n_env = len(ks)
     while (d_out * n_env) % d_in != 0:

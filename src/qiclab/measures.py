@@ -45,16 +45,16 @@ class EntropyReport:
     spectrum_floor: float
 
 
-def _entropy_from_spectrum(w: np.ndarray, tol: float = TOL_PSD) -> tuple[float, float]:
+def _entropy_from_spectrum(w: np.ndarray) -> tuple[float, float]:
     """Shannon entropy (bits) of an eigenvalue list with clamping.
 
-    Eigenvalues in [-tol, 0) are clamped to zero; anything below -tol is
-    an invalid state. Returns (entropy, smallest retained eigenvalue).
+    Eigenvalues in [-TOL_PSD, 0) are clamped to zero; anything below
+    -TOL_PSD is an invalid state. Returns (entropy, smallest retained eigenvalue).
     """
     w = np.asarray(w, dtype=float)
     lo = float(w.min()) if w.size else 0.0
-    if lo < -tol:
-        raise StateValidationError(f"eigenvalue {lo} below -{tol}: state invalid")
+    if lo < -TOL_PSD:
+        raise StateValidationError(f"eigenvalue {lo} below -{TOL_PSD}: state invalid")
     w = np.maximum(w, 0.0)
     h = float(-xlogy(w, w).sum() / LOG2)
     positive = w[w > 0]

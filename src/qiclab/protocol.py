@@ -357,7 +357,7 @@ def purify_input(rho: DensityOperator, ref_name: str) -> StateVector:
     return purify(rho, ref_name=ref_name)
 
 
-def _prepare_input(p: ProtocolSpec, input_state, ref_name: str = "R") -> StateVector:
+def _prepare_input(p: ProtocolSpec, input_state) -> StateVector:
     in_regs = p.alice_in + p.bob_in
     want = {r.name: r.dim for r in in_regs}
     if isinstance(input_state, DensityOperator):
@@ -366,7 +366,7 @@ def _prepare_input(p: ProtocolSpec, input_state, ref_name: str = "R") -> StateVe
             raise ValueError(
                 f"input registers {_fmt(have)} do not match protocol inputs {_fmt(want)}"
             )
-        fresh = _fresh_name(ref_name, p.all_names)
+        fresh = _fresh_name("R", p.all_names)
         vec = purify_input(input_state, fresh)
     elif isinstance(input_state, StateVector):
         vec = input_state
@@ -397,7 +397,6 @@ def run(
     input_state,
     *,
     max_dim: int = DEFAULT_MAX_DIM,
-    ref_name: str = "R",
 ) -> Trajectory:
     """Simulate the protocol globally on a (purified) input.
 
@@ -405,7 +404,7 @@ def run(
     untouched and appear in the output reduction.
     """
     _require_valid(p)
-    vec = _prepare_input(p, input_state, ref_name)
+    vec = _prepare_input(p, input_state)
     state = tensor(vec, p.preshared)
     if state.system.total_dim > max_dim:
         raise ValueError(
@@ -413,22 +412,16 @@ def run(
         )
     m = p.num_messages
     steps: list[StateVector] = []
-    prev_msg: set[str] = set()
     for i, u in enumerate(p.unitaries, start=1):
         speaker = ALICE if i % 2 == 1 else BOB
         msg = set(p.messages[i - 1]) if i <= m else set()
-        holders = {}
-        for st in u.stages:
-            for r in st.out_regs:
-                holders[r.name] = IN_FLIGHT if r.name in msg else speaker
-        state = apply_unitary(state, u, holders=holders)
-        # registers the unitary only passed through still change hands:
-        # the incoming block lands with the speaker, the outgoing block
-        # is in flight, whether or not a stage touched them
-        retag = {n: speaker for n in (prev_msg & set(state.system.names)) - msg}
-        retag.update({n: IN_FLIGHT for n in msg})
-        state = state.with_holders(retag)
-        prev_msg = msg
+        # what the step emits, passed-through registers included, is in
+        # flight if it is in the outgoing message and the speaker's otherwise
+        emitted = [r.name for st in u.stages for r in st.out_regs] + list(u.out_names)
+        holders = {n: IN_FLIGHT if n in msg else speaker for n in emitted}
+        state = apply_unitary(state, u, holders=holders).with_holders(
+            {n: holders[n] for n in u.out_names}
+        )
         if i <= m:
             steps.append(state)
     refs = list(state.system.reference_names)

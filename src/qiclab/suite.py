@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import time
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -100,18 +100,7 @@ class SuiteResult:
     detail: str = ""
 
     def to_json(self) -> dict:
-        return {
-            "check_id": self.check_id,
-            "status": self.status,
-            "kind": self.kind,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "tolerance": self.tolerance,
-            "runtime_ms": self.runtime_ms,
-            "seed": self.seed,
-            "anchor": self.anchor,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -171,13 +160,13 @@ def _passes(kind: str, lhs: float, rhs: float, tol: float) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _random_tripartite(rng, holders=(ALICE, BOB, REFERENCE)) -> StateVector:
+def _random_tripartite(rng) -> StateVector:
     dims = rng.integers(2, 5, size=4)
     return fuzz.random_state_vector(
         [
-            ("A", int(dims[0]), holders[0]),
-            ("B", int(dims[1]), holders[1]),
-            ("C", int(dims[2]), holders[2]),
+            ("A", int(dims[0]), ALICE),
+            ("B", int(dims[1]), BOB),
+            ("C", int(dims[2]), REFERENCE),
             ("E", int(dims[3]), REFERENCE),
         ],
         rng,
@@ -415,11 +404,11 @@ def _check_trace_distance(rng, tol):
 # ---------------------------------------------------------------------------
 
 
-def _random_protocol_and_input(rng, classical=False):
+def _random_protocol_and_input(rng):
     m = 2 if rng.random() < 0.5 else 4
     pres = (2, 2) if rng.random() < 0.5 else (1, 1)
     p = fuzz.random_protocol(rng, m, preshared_dims=pres)
-    rho = fuzz.random_input_density(p, rng, classical=classical)
+    rho = fuzz.random_input_density(p, rng)
     return p, rho
 
 

@@ -205,7 +205,7 @@ class TestClassicalInformationCost:
             assert -1e-12 <= ic <= sum(math.log2(s) for s in cp.message_sizes) + 1e-9
 
     def test_transcript_lengths(self):
-        cp = random_classical_protocol(7, 3, max_alphabet=3)
+        cp = random_classical_protocol(7, 3)
         mu = random_distribution((2, 2), 8)
         expected = sum(math.ceil(math.log2(s)) for s in cp.message_sizes)
         assert classical_cc(cp, mu) == expected

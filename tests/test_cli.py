@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qiclab import ALICE, BOB, and_pair, classical_state, save
+from qiclab import ALICE, BOB, and_pair, classical_state, fix_input, load_protocol, load_state, save
 from qiclab.cli import main
 from qiclab.classical import exact_protocol_for
+from qiclab.fileio import protocol_to_obj
 from qiclab.fuzz import (
     random_classical_protocol,
     random_input_density,
@@ -111,6 +112,21 @@ def test_compose_mix_fix(files, capsys):
     assert main(["validate", str(mix)]) == 0
 
 
+def test_fix_input_saves_the_frozen_protocol(files, capsys):
+    comp = files / "comp.json"
+    assert main(["compose", str(files / "proto.json"), str(files / "proto2.json"), "--out", str(comp)]) == 0
+    state = load_state(files / "state.json")
+    # the second slot's inputs: proto2's, which share proto's names, suffixed
+    save(state.renamed({n: n + "#2" for n in state.system.names}), files / "fixed_state.json")
+    out = files / "fixed.json"
+    argv = ["fix-input", str(comp), str(files / "fixed_state.json"), "--side", "second", "--out", str(out)]
+    assert main(argv) == 0
+    fixed = fix_input(load_protocol(comp), "second", load_state(files / "fixed_state.json"))
+    want = json.loads(json.dumps(protocol_to_obj(fixed)))
+    assert json.loads(out.read_text()) == want
+    assert "saved" in capsys.readouterr().out
+
+
 def test_concavity(files, capsys):
     code = main(
         [
@@ -206,6 +222,30 @@ def test_suite_list(capsys):
 def test_missing_file(tmp_path, capsys):
     assert main(["qcc", str(tmp_path / "absent.json")]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["ic", "cp.json", "pure4.json"], "expected a classical density state"),
+        (["ic", "cp.json", "mu3.json"], "exactly two registers"),
+        (
+            ["disj-and", "proto.json", "--mu", "0.5,0.5", "--copies", "2", "--out", "avg.json"],
+            "--mu needs three non-negative weights",
+        ),
+        (["suite", "--checks", "known-values", "--set-tol", "known-values"], "--set-tol expects id=value"),
+    ],
+    ids=["not-classical", "three-registers", "disj-and-weights", "set-tol-without-value"],
+)
+def test_refusal_exits_2_with_its_message(files, capsys, argv, message):
+    save(
+        classical_state(np.full(8, 0.125), [("A_in", 2, ALICE), ("B_in", 2, BOB), ("C", 2, BOB)]),
+        files / "mu3.json",
+    )
+    assert main([str(files / a) if a.endswith(".json") else a for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
 
 
 def test_nfold_error(files, tmp_path):

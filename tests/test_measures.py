@@ -453,6 +453,22 @@ class TestGramKernel:
         names = st.system.names
         _assert_both_sides_match_svd(st, [n for i, n in enumerate(names) if mask >> i & 1])
 
+    def test_staircase_support_is_one_block(self):
+        # nonzeros at (i, i) and (i, i + 1): row i's least label two hops away
+        # is i - 1, so labels settle only by following label chains
+        amps = np.zeros((16, 16), dtype=complex)
+        i = np.arange(16)
+        amps[i, i] = 1.0
+        amps[i[:-1], i[:-1] + 1] = 0.5
+        st = StateVector(
+            RegisterSystem.make([("A", 16, ALICE), ("B", 16, BOB)]),
+            amps.reshape(-1) / np.linalg.norm(amps),
+        )
+        assert st._coords is not None
+        blocks = hilbert._support_blocks(st._data(), [0])
+        assert [b.shape for b in blocks] == [(16, 16)]
+        assert abs(entropy(st, ["A"]) - _svd_entropy(st, ["A"])) < 1e-12
+
     def test_tiny_amplitude_row_is_kept(self, monkeypatch):
         # row 2's only amplitude is 1e-150; row 3 and column 3 are exactly zero
         amps = np.zeros((4, 4), dtype=complex)
