@@ -63,7 +63,7 @@ print(f"halving identity: {lhs:.10f} vs {rhs / 2:.10f}"
 # three slots: the instance is routed into one of three slots, so each
 # entropy splits into the blocks of that direct sum and stays small.
 # max_dim bounds the global dimension, here 5,159,780,352, although the
-# states hold at most 419,904 nonzero amplitudes; ROADMAP item 3 is to
+# states hold at most 419,904 nonzero amplitudes; ROADMAP item 2 is to
 # make it bound what a run materializes instead.
 base3 = random_protocol(
     3, 2, alice_in_dims=(2,) * 3, bob_in_dims=(2,) * 3, preshared_dims=(1, 1)

@@ -644,8 +644,8 @@ def _support_matrix(data, row_axes: Sequence[int]):
         d_row = _prod(data.shape[a] for a in row_axes)
         return None, None, np.ascontiguousarray(data.transpose(perm)).reshape(d_row, -1)
     r, c = _split_index(data, row_axes)
-    rows, r = np.unique(r, return_inverse=True)
-    cols, c = np.unique(c, return_inverse=True)
+    rows, r = _distinct(r)
+    cols, c = _distinct(c)
     m = np.zeros((rows.size, cols.size), dtype=data.vals.dtype)
     m[r, c] = data.vals
     return rows, cols, m
@@ -666,9 +666,9 @@ def _support_blocks(data, row_axes: Sequence[int]) -> list[np.ndarray]:
     if not isinstance(data, _Coords):
         return [_support_matrix(data, row_axes)[2]]
     r, c = _split_index(data, row_axes)
-    r = np.unique(r, return_inverse=True)[1]
-    c = np.unique(c, return_inverse=True)[1]
-    n_rows, n_cols = int(r.max()) + 1, int(c.max()) + 1
+    rows, r = _distinct(r)
+    cols, c = _distinct(c)
+    n_rows, n_cols = rows.size, cols.size
     # label propagation: each row takes the least row label two hops away,
     # then follows its label's label to a fixed point. A label is always a
     # row of the same component, and at the fixed point it is the least one.
@@ -686,12 +686,11 @@ def _support_blocks(data, row_axes: Sequence[int]) -> list[np.ndarray]:
         if np.array_equal(new, label):
             break
         label = new
-    row_comp = np.unique(label, return_inverse=True)[1]
-    col_comp = np.empty(n_cols, dtype=row_comp.dtype)
-    col_comp[c] = row_comp[r]
-    comp = row_comp[r]
+    # at the fixed point a column's via_col is its component's least row
+    least, row_comp = _distinct(label)
+    col_comp = row_comp[via_col]
     # each row's and column's position within its component, in index order
-    n_blocks = int(row_comp.max()) + 1
+    n_blocks = least.size
     local = []
     for member in (row_comp, col_comp):
         count = np.bincount(member, minlength=n_blocks)
@@ -702,8 +701,15 @@ def _support_blocks(data, row_axes: Sequence[int]) -> list[np.ndarray]:
     (height, row_pos), (width, col_pos) = local
     size = height * width
     start = np.cumsum(size) - size
+    # an entry's place in the buffer: its row's offset there, plus its column's
+    row_pos *= width[row_comp]
+    row_pos += start[row_comp]
+    at = row_pos[r]
+    del r
+    at += col_pos[c]
+    del c
     buf = np.zeros(int(size.sum()), dtype=data.vals.dtype)
-    buf[start[comp] + row_pos[r] * width[comp] + col_pos[c]] = data.vals
+    buf[at] = data.vals
     return [
         buf[s : s + h * w].reshape(h, w)
         for s, h, w in zip(start.tolist(), height.tolist(), width.tolist())
@@ -712,17 +718,93 @@ def _support_blocks(data, row_axes: Sequence[int]) -> list[np.ndarray]:
 
 def _split_index(data: _Coords, row_axes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """Each entry's row and column in the (``row_axes``, other axes) matrix
-    of a :class:`_Coords` array, uncompressed."""
+    of a :class:`_Coords` array, uncompressed.
+
+    The row is the row axes' digits of the flat index, in ``row_axes``
+    order; the column is its other digits, in array order. With
+    Q(x) = nz // prod(shape[x:]), the digits of axes a..b-1 read as one
+    number are Q(b) - Q(a) prod(shape[a:b]). So the axes are cut into
+    runs that each give one such digit: row axes adjacent both in the
+    array and in ``row_axes``, and maximal runs of the other axes. The
+    runs are read most significant first, one floor division per run
+    boundary and no remainder (numpy's integer remainder costs about four
+    of its floor divisions), with only the last two Q alive.
+    """
     nz, _, shape = data
-    # row index: the row axes' digits of each flat index; column index: the
-    # flat index with those digits struck out, most significant first
-    r, c = np.zeros_like(nz), nz
-    for a in row_axes:
-        r = r * shape[a] + nz // _prod(shape[a + 1:]) % shape[a]
-    for a in sorted(row_axes):
-        low = _prod(shape[a + 1:])
-        c = c // (low * shape[a]) * low + c % low
+    n = len(shape)
+    # each axis's suffix product, and the weight of its digit in the row or
+    # the column. Axis a joins the run of axis a - 1 when both are row axes
+    # or both are not, and the digit of a - 1 weighs shape[a] times a's:
+    # then the run's digit, weighted as its last axis, is exact
+    is_row = [False] * n
+    weight = [1] * n
+    w = 1
+    for a in reversed(row_axes):
+        is_row[a], weight[a] = True, w
+        w *= shape[a]
+    suffix = [1] * (n + 1)
+    w = 1
+    for a in reversed(range(n)):
+        suffix[a] = suffix[a + 1] * shape[a]
+        if not is_row[a]:
+            weight[a] = w
+            w *= shape[a]
+    cuts = [0] + [
+        a for a in range(1, n)
+        if is_row[a] != is_row[a - 1] or weight[a - 1] != weight[a] * shape[a]
+    ] + [n]
+    # the weighted digits summed, the column's at sums[False] and the row's
+    # at sums[True]. A term takes over the previous Q's buffer unless a sum
+    # is that Q: the first run's term is its Q at weight 1 (nz itself when
+    # it is the only run)
+    sums = [None, None]
+    q_prev = None
+    for a, b in zip(cuts, cuts[1:]):
+        q = nz if b == n else nz // suffix[b]
+        w = weight[b - 1]
+        if q_prev is None:  # a == 0, where Q(0) = 0
+            term = q if w == 1 else q * w
+        else:
+            spare = not any(s is q_prev for s in sums)
+            term = np.multiply(q_prev, suffix[a] // suffix[b], out=q_prev if spare else None)
+            np.subtract(q, term, out=term)
+            if w != 1:
+                term *= w
+        q_prev = q
+        if sums[is_row[a]] is None:
+            sums[is_row[a]] = term
+        else:
+            sums[is_row[a]] += term
+    c, r = (np.zeros_like(nz) if s is None else s for s in sums)
     return r, c
+
+
+def _distinct(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(x, return_inverse=True)`` of non-negative int64 indices:
+    the sorted distinct values, and each entry's position among them.
+
+    Values within ``_SUPPORT_RATIO`` times the entry count are compressed
+    by a presence map and its running count, with no sort; sparser ones
+    by a stable argsort and flags at the starts of equal runs.
+    """
+    top = int(x.max()) if x.size else -1
+    if 0 <= top < _SUPPORT_RATIO * x.size:
+        seen = np.zeros(top + 1, dtype=bool)
+        seen[x] = True
+        rank = np.cumsum(seen, dtype=np.intp)
+        rank -= 1
+        return np.flatnonzero(seen), rank[x]
+    order = np.argsort(x, kind="stable")
+    ordered = x[order]
+    first = np.empty(x.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    values = ordered[first]
+    rank = np.cumsum(first, dtype=np.intp, out=ordered)
+    rank -= 1
+    inverse = np.empty(x.size, dtype=np.intp)
+    inverse[order] = rank
+    return values, inverse
 
 
 def _apply_stage_array(data, order: list[Register], st: Stage):
@@ -743,9 +825,17 @@ def _apply_stage_array(data, order: list[Register], st: Stage):
     out_shape = tuple(r.dim for r in st.out_regs) + rest_shape
     if st.perm is not None and isinstance(data, _Coords):
         r, c = _split_index(data, idx)
-        flat = st.perm[r] * _prod(rest_shape) + c
-        at = np.argsort(flat)
-        new = _Coords(flat[at], data.vals[at], out_shape)
+        flat = st.perm[r]
+        del r
+        # within one image row the column rises with the flat index, so a
+        # stable sort by image row orders the output (keys of 16 bits or
+        # less radix sort)
+        at = np.argsort(flat.astype(np.min_scalar_type(st.dim - 1)), kind="stable")
+        flat *= _prod(rest_shape)
+        flat += c
+        del c
+        flat = flat[at]  # frees the unordered indices before the values gather
+        new = _Coords(flat, data.vals[at], out_shape)
     elif st.perm is not None:
         m = _support_matrix(data, idx)[2]
         moved = np.empty_like(m)
@@ -756,10 +846,15 @@ def _apply_stage_array(data, order: list[Register], st: Stage):
     else:
         rows, cols, m = _support_matrix(data, idx)
         prod = _dot(st.matrix[:, rows], m)
+        del m
         at = np.flatnonzero(prod)
         # flat index out_row * |rest| + col, ascending since cols is sorted
-        out_row, j = np.divmod(at, prod.shape[1])
-        flat = out_row * _prod(rest_shape) + cols[j]
+        flat = at // prod.shape[1]
+        j = flat * prod.shape[1]
+        np.subtract(at, j, out=j)
+        flat *= _prod(rest_shape)
+        flat += cols[j]
+        del j
         new = _in_form(_Coords(flat, prod.reshape(-1)[at], out_shape))
     kept = [order[i] for i in range(len(order)) if i not in idx]
     return new, list(st.out_regs) + kept

@@ -1108,7 +1108,8 @@ def run_suite(
     return results
 
 
-#: Acceptance criteria to check-id mapping (used by the acceptance tests).
+#: Acceptance criteria to check-id mapping (used by the acceptance tests);
+#: every registered check sits in exactly one criterion.
 ACCEPTANCE_MAP: dict[str, list[str]] = {
     "entropy-identity-suite": [
         "entropy-bounds",
@@ -1119,15 +1120,26 @@ ACCEPTANCE_MAP: dict[str, list[str]] = {
         "classical-conditioning",
         "pure-state-symmetry",
         "trace-distance-properties",
+        "purity-symmetry",
     ],
-    "cost-sandwich": ["qic-sandwich"],
+    "cost-sandwich": ["qic-sandwich", "qic-padding", "run-norm-audit"],
     "pure-input-nullity": ["pure-input-zero"],
-    "additivity": ["parallel-additivity", "input-fixing-split"],
-    "convex-mixture": ["mixture-channel", "mixture-affinity", "mixture-degenerate"],
+    "additivity": ["parallel-additivity", "input-fixing-split", "nfold-percopy"],
+    "convex-mixture": [
+        "mixture-channel",
+        "mixture-affinity",
+        "mixture-degenerate",
+        "mixture-error-convexity",
+    ],
     "input-concavity": ["input-concavity"],
     "slot-averaging": ["and-average-halving", "and-average-channel", "and-average-pure"],
-    "failure-bound": ["failure-bound"],
+    "failure-bound": ["failure-bound", "error-unitary-invariance"],
     "ic-rewrite": ["ic-rewrite"],
-    "budget": ["budget-total", "entanglement-rate-bounds", "redistribution-steps"],
-    "known-values": ["known-values"],
+    "budget": [
+        "budget-total",
+        "entanglement-rate-bounds",
+        "redistribution-steps",
+        "budget-correlated-bit",
+    ],
+    "known-values": ["known-values", "measured-state-form"],
 }

@@ -1,13 +1,15 @@
 """The support form of pure states: guards, both forms agreeing, no ambient work."""
 
+import ast
 import math
 import pickle
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qiclab import (
@@ -239,3 +241,207 @@ def test_slot_averaged_run_does_no_ambient_work(monkeypatch):
     assert peak < 16 * ambient // 4
     out = reduced_density(final, list(pa.alice_out) + list(pa.bob_out) + list(final.system.reference_names))
     assert abs(np.trace(out.matrix).real - 1.0) < 1e-12
+
+
+# -- index arithmetic ---------------------------------------------------------
+
+
+def _reference_split(nz, shape, row_axes):
+    """The digit-by-digit split: each row axis's digit by one division and
+    one remainder, and each struck out of the column, most significant first."""
+    r, c = np.zeros_like(nz), nz
+    for a in row_axes:
+        r = r * shape[a] + nz // math.prod(shape[a + 1:]) % shape[a]
+    for a in sorted(row_axes):
+        low = math.prod(shape[a + 1:])
+        c = c // (low * shape[a]) * low + c % low
+    return r, c
+
+
+@st.composite
+def _split_cases(draw, small=False):
+    """A support over a shape (dim-1 registers included; unless ``small``,
+    totals up to 2^63 - 1) and row axes in any order, from none to all."""
+    dims = st.integers(1, 4) if small else st.one_of(st.integers(1, 4), st.integers(1, 2 ** 31))
+    shape = []
+    for d in draw(st.lists(dims, min_size=1, max_size=7)):
+        if math.prod(shape) * d >= 2 ** 63:
+            break
+        shape.append(d)
+    total = math.prod(shape)
+    near_top = st.integers(max(0, total - 64), total - 1)
+    nz = np.unique(
+        np.array(
+            draw(st.lists(st.one_of(st.integers(0, total - 1), near_top), min_size=1, max_size=40)),
+            dtype=np.int64,
+        )
+    )
+    order = draw(st.permutations(range(len(shape))))
+    row_axes = order[: draw(st.integers(0, len(shape)))]
+    vals = np.arange(1, nz.size + 1) * (1 + 1j)
+    return hilbert._Coords(nz, vals, tuple(shape)), list(row_axes)
+
+
+def _case(shape, idx, row_axes):
+    nz = np.array(idx, dtype=np.int64)
+    return hilbert._Coords(nz, np.ones(nz.size, dtype=complex), shape), row_axes
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_split_cases())
+@example(case=_case((2 ** 31, 2 ** 31), [0, 2 ** 62 - 2 ** 31, 2 ** 62 - 1], [1]))
+@example(case=_case((3, 2 ** 61), [2 ** 61 - 1, 3 * 2 ** 61 - 2, 3 * 2 ** 61 - 1], [1, 0]))
+@example(case=_case((2, 1, 3, 1, 2), [0, 5, 11], []))
+@example(case=_case((2, 1, 3, 1, 2), [0, 5, 11], [4, 3, 2, 1, 0]))
+@example(case=_case((2, 1, 3, 1, 2), [0, 5, 11], [0, 1, 2, 3, 4]))
+@example(case=_case((4, 3, 2, 5), [1, 17, 60, 119], [2, 0]))
+def test_split_index_matches_the_digit_formula(case):
+    data, row_axes = case
+    before = data.idx.copy()
+    got = hilbert._split_index(data, row_axes)
+    want = _reference_split(before, data.shape, row_axes)
+    for g, w in zip(got, want):
+        assert g.dtype == np.int64
+        assert np.array_equal(g, w)
+    assert np.array_equal(data.idx, before)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.lists(st.one_of(st.integers(0, 7), st.integers(0, 2 ** 62)), min_size=1, max_size=60),
+    branch=st.sampled_from(["presence map", "sort"]),
+)
+def test_distinct_matches_unique(values, branch):
+    x = np.array(values, dtype=np.int64)
+    ceiling = hilbert._SUPPORT_RATIO * x.size
+    if branch == "presence map":
+        x %= ceiling
+    else:
+        x[0] = max(x[0], ceiling)
+    assert (int(x.max()) < ceiling) == (branch == "presence map")
+    before = x.copy()
+    got_values, got_inverse = hilbert._distinct(x)
+    want_values, want_inverse = np.unique(x, return_inverse=True)
+    assert np.array_equal(got_values, want_values)
+    assert np.array_equal(got_inverse, want_inverse)
+    assert np.array_equal(x, before)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_split_cases(small=True), seed=st.integers(0, 2 ** 32 - 1))
+def test_index_map_stage_orders_its_output(case, seed):
+    data, consumed = case
+    if not consumed:
+        consumed = [0]
+    shape = data.shape
+    order = [hilbert.Register(f"q{a}", d) for a, d in enumerate(shape)]
+    d = math.prod(shape[a] for a in consumed)
+    perm = np.random.default_rng(seed).permutation(d)
+    stage = hilbert.Stage._permutation(perm, [f"q{a}" for a in consumed], [hilbert.Register("out", d)])
+    new, new_order = hilbert._apply_stage_array(data, order, stage)
+    rest = [a for a in range(len(shape)) if a not in consumed]
+    assert new.shape == (d,) + tuple(shape[a] for a in rest)
+    assert [r.name for r in new_order] == ["out"] + [f"q{a}" for a in rest]
+    r, c = _reference_split(data.idx, shape, consumed)
+    flat = perm[r] * math.prod(shape[a] for a in rest) + c
+    at = np.argsort(flat)
+    assert np.all(np.diff(new.idx) > 0)
+    assert np.array_equal(new.idx, flat[at])
+    assert np.array_equal(new.vals, data.vals[at])
+
+
+# The support form's index arithmetic stays remainder-free and sort-light:
+# numpy's integer remainder costs ~4x its floor division, and these functions
+# run over every coordinate of every support-form stage and entropy.
+_GUARDED = (
+    "_split_index",
+    "_distinct",
+    "_support_matrix",
+    "_support_blocks",
+    "_apply_stage_array",
+    "reduced_density",
+)
+_REMAINDERS = {"divmod", "mod", "remainder", "fmod"}
+
+
+def _index_arithmetic_faults(source: str) -> list[tuple[int, str]]:
+    """(line, what) of each remainder, ``np.unique`` or non-stable sort in the
+    guarded functions of ``source``: a ``%``, ``divmod``, ``np.divmod``,
+    ``np.mod``, ``np.remainder``, ``np.fmod``, ``np.unique``, or an
+    ``argsort`` or ``sort`` call without ``kind="stable"``."""
+    hits = []
+    for fn in ast.walk(ast.parse(source)):
+        if not (isinstance(fn, ast.FunctionDef) and fn.name in _GUARDED):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Mod):
+                hits.append((node.lineno, "%"))
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            on_np = (
+                isinstance(f, ast.Attribute)
+                and isinstance(f.value, ast.Name)
+                and f.value.id in ("np", "numpy")
+            )
+            name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+            stable = any(
+                k.arg == "kind" and isinstance(k.value, ast.Constant) and k.value.value == "stable"
+                for k in node.keywords
+            )
+            if isinstance(f, ast.Name) and name == "divmod":
+                hits.append((node.lineno, "divmod"))
+            elif on_np and name in _REMAINDERS | {"unique"}:
+                hits.append((node.lineno, f"np.{name}"))
+            elif name in ("argsort", "sort") and not stable:
+                hits.append((node.lineno, f"{name} without kind='stable'"))
+    return sorted(hits)
+
+
+class TestIndexArithmeticGuard:
+    def test_support_form_functions_take_no_remainder_and_no_unstable_sort(self):
+        source = Path(hilbert.__file__).read_text()
+        defined = {n.name for n in ast.walk(ast.parse(source)) if isinstance(n, ast.FunctionDef)}
+        assert set(_GUARDED) <= defined
+        hits = [f"hilbert.py:{line}: {what}" for line, what in _index_arithmetic_faults(source)]
+        assert not hits, "remainders or sorts in the support-form arithmetic:\n" + "\n".join(hits)
+
+    def test_guard_names_each_fault(self):
+        source = "\n".join(
+            [
+                "import numpy as np",
+                "def _split_index(x, p):",
+                "    a = x % p",
+                "    x %= p",
+                "    q, j = divmod(x, p)",
+                "    q, j = np.divmod(x, p)",
+                "    j = np.mod(x, p)",
+                "    j = numpy.remainder(x, p)",
+                "    j = np.fmod(x, p)",
+                "    v, i = np.unique(x, return_inverse=True)",
+                "    o = np.argsort(x)",
+                "    o = x.argsort(kind='quicksort')",
+                "    x.sort()",
+                "    s = np.sort(x, kind='mergesort')",
+                "    o = np.argsort(x, kind='stable')",
+                "    q = x // p",
+                "    return sorted(q), f'{q % 2}'",
+                "def elsewhere(x, p):",
+                "    return x % p, np.unique(x), np.argsort(x)",
+            ]
+        )
+        assert _index_arithmetic_faults(source) == [
+            (3, "%"),
+            (4, "%"),
+            (5, "divmod"),
+            (6, "np.divmod"),
+            (7, "np.mod"),
+            (8, "np.remainder"),
+            (9, "np.fmod"),
+            (10, "np.unique"),
+            (11, "argsort without kind='stable'"),
+            (12, "argsort without kind='stable'"),
+            (13, "sort without kind='stable'"),
+            (14, "sort without kind='stable'"),
+            (17, "%"),
+        ]
