@@ -35,11 +35,9 @@ from .hilbert import (
     tensor,
 )
 from .measures import (
-    EntropyReport,
     cond_entropy,
     cond_mutual_info,
     entropy,
-    entropy_report,
     mutual_info,
     trace_distance,
     trace_norm,

@@ -15,7 +15,6 @@ padding, and the selector registers of direct sums such as slot averaging.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -36,20 +35,11 @@ from .hilbert import (
 LOG2 = np.log(2.0)
 
 
-@dataclass(frozen=True)
-class EntropyReport:
-    """Entropy value in bits plus the smallest retained eigenvalue."""
-
-    value: float
-    subsystem: tuple[str, ...]
-    spectrum_floor: float
-
-
-def _entropy_from_spectrum(w: np.ndarray) -> tuple[float, float]:
+def _entropy_from_spectrum(w: np.ndarray) -> float:
     """Shannon entropy (bits) of an eigenvalue list with clamping.
 
     Eigenvalues in [-TOL_PSD, 0) are clamped to zero; anything below
-    -TOL_PSD is an invalid state. Returns (entropy, smallest retained eigenvalue).
+    -TOL_PSD is an invalid state.
     """
     w = np.asarray(w, dtype=float)
     lo = float(w.min()) if w.size else 0.0
@@ -57,9 +47,7 @@ def _entropy_from_spectrum(w: np.ndarray) -> tuple[float, float]:
         raise StateValidationError(f"eigenvalue {lo} below -{TOL_PSD}: state invalid")
     w = np.maximum(w, 0.0)
     h = float(-xlogy(w, w).sum() / LOG2)
-    positive = w[w > 0]
-    floor = float(positive.min()) if positive.size else 0.0
-    return max(h, 0.0), floor
+    return max(h, 0.0)
 
 
 def _pure_subsystem_spectrum(state: StateVector, subsystem: Sequence[str]) -> np.ndarray:
@@ -137,15 +125,7 @@ def entropy(state, subsystem: Sequence[str] | None = None) -> float:
     """Von Neumann entropy in bits of a subsystem reduction."""
     if subsystem is None:
         subsystem = state.system.names
-    return _entropy_from_spectrum(_subsystem_spectrum(state, subsystem))[0]
-
-
-def entropy_report(state, subsystem: Sequence[str] | None = None) -> EntropyReport:
-    """Like :func:`entropy` but reporting the retained spectrum floor."""
-    if subsystem is None:
-        subsystem = state.system.names
-    value, floor = _entropy_from_spectrum(_subsystem_spectrum(state, subsystem))
-    return EntropyReport(value, tuple(subsystem), floor)
+    return _entropy_from_spectrum(_subsystem_spectrum(state, subsystem))
 
 
 def _disjoint(*groups: Sequence[str]) -> None:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass, fields
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .hilbert import (
     ALICE,
@@ -392,6 +392,37 @@ def _prepare_input(p: ProtocolSpec, input_state) -> StateVector:
     return vec.with_holders(holders)
 
 
+def _walk(p: ProtocolSpec, input_state, max_dim: int) -> Iterator[StateVector]:
+    """The global pure state after each unitary of ``p``, one per ``next()``.
+
+    Validation, input preparation and the ``max_dim`` refusal run at the
+    call, not at the first ``next()``: a refused walk raises before it starts.
+    """
+    _require_valid(p)
+    vec = _prepare_input(p, input_state)
+    start = tensor(vec, p.preshared)
+    if start.system.total_dim > max_dim:
+        raise ValueError(
+            f"global dimension {start.system.total_dim} exceeds max_dim={max_dim}"
+        )
+
+    def states(state: StateVector) -> Iterator[StateVector]:
+        m = p.num_messages
+        for i, u in enumerate(p.unitaries, start=1):
+            speaker = ALICE if i % 2 == 1 else BOB
+            msg = set(p.messages[i - 1]) if i <= m else set()
+            # what the step emits, passed-through registers included, is in
+            # flight if it is in the outgoing message and the speaker's otherwise
+            emitted = [r.name for st in u.stages for r in st.out_regs] + list(u.out_names)
+            holders = {n: IN_FLIGHT if n in msg else speaker for n in emitted}
+            state = apply_unitary(state, u, holders=holders).with_holders(
+                {n: holders[n] for n in u.out_names}
+            )
+            yield state
+
+    return states(start)
+
+
 def run(
     p: ProtocolSpec,
     input_state,
@@ -403,31 +434,9 @@ def run(
     Mixed inputs are purified first; the reference registers ride along
     untouched and appear in the output reduction.
     """
-    _require_valid(p)
-    vec = _prepare_input(p, input_state)
-    state = tensor(vec, p.preshared)
-    if state.system.total_dim > max_dim:
-        raise ValueError(
-            f"global dimension {state.system.total_dim} exceeds max_dim={max_dim}"
-        )
-    m = p.num_messages
-    steps: list[StateVector] = []
-    for i, u in enumerate(p.unitaries, start=1):
-        speaker = ALICE if i % 2 == 1 else BOB
-        msg = set(p.messages[i - 1]) if i <= m else set()
-        # what the step emits, passed-through registers included, is in
-        # flight if it is in the outgoing message and the speaker's otherwise
-        emitted = [r.name for st in u.stages for r in st.out_regs] + list(u.out_names)
-        holders = {n: IN_FLIGHT if n in msg else speaker for n in emitted}
-        state = apply_unitary(state, u, holders=holders).with_holders(
-            {n: holders[n] for n in u.out_names}
-        )
-        if i <= m:
-            steps.append(state)
-    refs = list(state.system.reference_names)
-    keep = list(p.alice_out) + list(p.bob_out) + refs
-    output = reduced_density(state, keep)
-    return Trajectory(tuple(steps), state, output)
+    *steps, final = _walk(p, input_state, max_dim)
+    keep = list(p.alice_out) + list(p.bob_out) + list(final.system.reference_names)
+    return Trajectory(tuple(steps), final, reduced_density(final, keep))
 
 
 def _message_regs(p: ProtocolSpec) -> list[tuple[Register, ...]]:
@@ -479,7 +488,11 @@ def message_entropies(
     *,
     max_dim: int = DEFAULT_MAX_DIM,
 ) -> list[MessageEntropies]:
-    """H(CB), H(RB), H(B) and H(CRB) for every message, from one run.
+    """H(CB), H(RB), H(B) and H(CRB) for every message, from one walk.
+
+    The walk stops at the state after the last message: the closing
+    unitary is never applied and the output never reduced, and each step
+    is dropped once its four entropies are taken.
 
     Entropies are memoized by register set. A subsystem and its
     complement share an entry, since the global state is pure. An entry
@@ -490,7 +503,7 @@ def message_entropies(
     are the entries of H(CRB) and H(CB) one step earlier.
 
     The last result is kept (weak references and floats only), so the
-    cost terms, step rates and budget of one pair cost one run. It is
+    cost terms, step rates and budget of one pair share one walk. It is
     returned for the very same live ``ProtocolSpec`` and ``StateVector``
     or ``DensityOperator`` input (identity; all are immutable) and the
     same ``max_dim``.
@@ -499,15 +512,16 @@ def message_entropies(
     last = _last_ledger
     if last and last[0]() is p and last[1]() is input_state and last[2] == max_dim:
         return list(last[3])
-    traj = run(p, input_state, max_dim=max_dim)
+    states = _walk(p, input_state, max_dim)
     memo: dict[frozenset[str], float] = {}
     out = []
-    for i, st in enumerate(traj.steps, start=1):
+    # messages first: zip stops on them before pulling the closing unitary's state
+    for i, (block, st) in enumerate(zip(p.messages, states), start=1):
         touched = {r.name for r in p.unitaries[i - 1].out_regs}
         memo = {k: h for k, h in memo.items() if not k & touched}
         system = st.system
         names = frozenset(system.names)
-        c = frozenset(p.messages[i - 1])
+        c = frozenset(block)
         b = frozenset(system.held_by(BOB if i % 2 == 1 else ALICE))
         r = frozenset(system.reference_names)
         row = []

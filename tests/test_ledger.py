@@ -9,6 +9,8 @@ import pytest
 from qiclab import (
     ALICE,
     BOB,
+    DEFAULT_MAX_DIM,
+    ProtocolValidationError,
     compression_budget,
     cond_mutual_info,
     message_entropies,
@@ -126,16 +128,54 @@ def test_ledger_rows_reuse_the_previous_step():
 
 @pytest.fixture
 def run_calls(monkeypatch):
-    """Count the ledger's calls of ``protocol.run``."""
+    """Count the walks of a protocol's schedule (``protocol._walk``), which
+    ``run`` and every ledger call start."""
     calls = []
-    original = protocol.run
+    original = protocol._walk
 
     def counting(*args, **kwargs):
         calls.append(args[:2])
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(protocol, "run", counting)
+    monkeypatch.setattr(protocol, "_walk", counting)
     return calls
+
+
+def test_the_ledger_stops_after_the_last_message(monkeypatch):
+    applied = []
+    original = protocol.apply_unitary
+
+    def counting(state, u, **kwargs):
+        applied.append(u)
+        return original(state, u, **kwargs)
+
+    monkeypatch.setattr(protocol, "apply_unitary", counting)
+    p, rho = _instance(13)
+    m = p.num_messages
+    message_entropies(p, rho)
+    assert len(applied) == m and all(a is u for a, u in zip(applied, p.unitaries))
+    applied.clear()
+    run(p, rho)
+    assert len(applied) == m + 1 and all(a is u for a, u in zip(applied, p.unitaries))
+
+
+@pytest.mark.parametrize("case", ["max_dim", "not a state", "no messages"])
+def test_the_walk_refuses_at_the_call(case):
+    p, rho = _instance(14)
+    args, error, message = {
+        "max_dim": ((p, rho, 1), ValueError, "exceeds max_dim=1"),
+        "not a state": ((p, rho.matrix, DEFAULT_MAX_DIM), TypeError, "cannot run a protocol on ndarray"),
+        "no messages": (
+            (dataclasses.replace(p, num_messages=0, messages=()), rho, DEFAULT_MAX_DIM),
+            ProtocolValidationError,
+            "positive even number of messages, got 0",
+        ),
+    }[case]
+    # the walk is never iterated: the refusal comes when it is started
+    with pytest.raises(error, match=message):
+        protocol._walk(*args)
+    with pytest.raises(error, match=message):
+        qic_terms(args[0], args[1], max_dim=args[2])
 
 
 class TestLastLedgerMemo:
@@ -156,6 +196,7 @@ class TestLastLedgerMemo:
     def test_any_other_call_runs_again(self, run_calls):
         p, rho = _instance(4)
         dim = run(p, rho).final_state.system.total_dim
+        run_calls.clear()
         qic_terms(p, rho)
         qic_terms(p, rho, max_dim=dim)
         qic_terms(dataclasses.replace(p), rho)

@@ -1,5 +1,7 @@
 """Every option has a caller: each optional parameter of a function or
-method that ``qiclab`` exports is passed by some call in the repository."""
+method that ``qiclab`` exports is passed by some call in the repository.
+Every function has a caller: each module-level function that ``qiclab``
+exports is called outside the tests."""
 
 import ast
 import inspect
@@ -10,6 +12,7 @@ import qiclab
 
 ROOT = Path(__file__).resolve().parents[1]
 SEARCHED = ("src", "tests", "demos", "perfbench")
+OUTSIDE_TESTS = ("src", "demos", "perfbench")
 
 
 def _exported_callables(namespace) -> dict[str, tuple[str, inspect.Signature]]:
@@ -86,13 +89,26 @@ def _options_without_caller(callables, sources) -> list[str]:
     return missing
 
 
-def _repository_sources() -> list[str]:
-    return [p.read_text() for d in SEARCHED for p in sorted((ROOT / d).rglob("*.py"))]
+def _functions_without_caller(callables, sources) -> list[str]:
+    """Each module-level function in ``callables`` that no call names."""
+    called = {name for s in sources for name, _, _ in _calls(s)}
+    return sorted(label for label in callables if "." not in label and label not in called)
+
+
+def _repository_sources(dirs=SEARCHED) -> list[str]:
+    return [p.read_text() for d in dirs for p in sorted((ROOT / d).rglob("*.py"))]
 
 
 def test_every_exported_option_has_a_caller():
     missing = _options_without_caller(_exported_callables(qiclab), _repository_sources())
     assert not missing, "exported options no call passes:\n" + "\n".join(missing)
+
+
+def test_every_exported_function_has_a_caller_outside_tests():
+    missing = _functions_without_caller(
+        _exported_callables(qiclab), _repository_sources(OUTSIDE_TESTS)
+    )
+    assert not missing, "exported functions only tests call:\n" + "\n".join(missing)
 
 
 def test_guard_counts_keyword_positional_and_literal_unpacking():
@@ -102,6 +118,7 @@ def test_guard_counts_keyword_positional_and_literal_unpacking():
             "from dataclasses import dataclass",
             "def f(a, b=1, *, c=2, d=3, e=4, g=5): pass",
             "def _private(h=0): pass",
+            "def lonely(): pass",
             "@dataclass",
             "class K:",
             "    field: int = 0",
@@ -123,6 +140,7 @@ def test_guard_counts_keyword_positional_and_literal_unpacking():
         "K.build()",  # z never
         "K.s(1)",  # w by position on a static method
         "'f(0, e=1)'",  # a string is not a call
+        "'lonely()'",
     ]
     assert _options_without_caller(_exported_callables(planted), calls) == [
         "K.build(z)",
@@ -130,3 +148,5 @@ def test_guard_counts_keyword_positional_and_literal_unpacking():
         "f(e)",
         "f(g)",
     ]
+    # methods and private functions are not asked for a caller
+    assert _functions_without_caller(_exported_callables(planted), calls) == ["lonely"]

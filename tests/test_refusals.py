@@ -1,5 +1,8 @@
 """Refusals: each malformed argument raises its own error with its own message."""
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
@@ -17,6 +20,7 @@ from qiclab import (
     channel_from_kraus,
     classical_state,
     run,
+    validate,
 )
 from qiclab.classical import and_pair, exact_protocol_for, function_channel
 
@@ -98,6 +102,50 @@ def test_the_refusals_are_distinct_cases():
     QuantumTask(function_channel(and_pair()), _and_input(), 0.0)
     QuantumTask(function_channel(and_pair()), _and_input(), 2.0)
     assert run(exact_protocol_for(and_pair()), _and_input()).output is not None
+
+
+def _send_as_bobs_input(p):
+    """U_1 renames Alice's input to Bob's input's name and sends it."""
+    a, b = p.alice_in[0], p.bob_in[0]
+    first = UnitaryOp.rename((a,), (Register(b.name, a.dim),))
+    return {"unitaries": (first,) + p.unitaries[1:], "messages": ((b.name,),) + p.messages[1:]}
+
+
+# each change to the AND protocol's schedule and the one finding it gives
+FINDINGS = {
+    "duplicate inputs": (lambda p: {"alice_in": p.alice_in * 2}, r"duplicate input register names"),
+    "input takes a pre-shared name": (
+        lambda p: {"alice_in": (Register("Fa", 2),)},
+        r"input registers collide with pre-shared registers: \['Fa'\]",
+    ),
+    "message register not emitted": (
+        lambda p: {"messages": (("C_1", "zz"), ("C_2",))},
+        r"U_1 outputs are missing message registers \['zz'\]",
+    ),
+    "output takes the other party's name": (
+        _send_as_bobs_input,
+        r"U_1 output names collide with the other party's registers: \['B_in'\]",
+    ),
+    "Alice's declared outputs": (
+        lambda p: {"alice_out": ("zz",)},
+        r"declared Alice outputs\+scratch \['zz'\] do not match her final holding \['A_out'\]",
+    ),
+    "Bob's declared outputs": (
+        lambda p: {"bob_out": ("zz",)},
+        r"declared Bob outputs\+scratch \['Xc', 'Yc', 'zz'\] do not match his final "
+        r"holding \['B_out', 'Xc', 'Yc'\]",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FINDINGS))
+def test_validate_names_the_schedule_fault(case):
+    change, message = FINDINGS[case]
+    p = exact_protocol_for(and_pair())
+    assert validate(p) == []
+    findings = validate(dataclasses.replace(p, **change(p)))
+    assert len(findings) == 1
+    assert re.fullmatch(message, findings[0])
 
 
 # The Choi matrix of a unitary dilation is d M M^dagger, positive and trace
